@@ -148,8 +148,11 @@ std::uint32_t ChainArena::append(std::uint32_t parent, const Signature& sig) {
     BytesWriter w;
     w.u32(sig.signer);
     w.u64(sig.mac);
+    const Bytes tail = w.take();
+    // Sized exactly: the arena keeps every node's prefix for the whole run.
+    node.prefix.reserve(par.prefix.size() + tail.size());
     node.prefix = par.prefix;
-    node.prefix.insert(node.prefix.end(), w.data().begin(), w.data().end());
+    node.prefix.insert(node.prefix.end(), tail.begin(), tail.end());
   }
   // Cached-negative nodes keep an empty prefix: verification stops at the
   // first bad signature, so their children are never materialized.

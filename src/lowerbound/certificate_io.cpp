@@ -4,60 +4,74 @@
 
 namespace ba::lowerbound {
 
-Value certificate_to_value(const ViolationCertificate& cert) {
-  return Value{ValueVec{
-      Value{"cert"}, Value{static_cast<std::int64_t>(cert.kind)},
-      trace_to_value(cert.execution),
-      Value{static_cast<std::int64_t>(cert.witness_a)},
-      Value{static_cast<std::int64_t>(cert.witness_b)},
-      Value{cert.narrative}}};
-}
-
-std::optional<ViolationCertificate> certificate_from_value(const Value& v) {
-  if (!v.is_vec() || v.as_vec().size() != 6) return std::nullopt;
-  const ValueVec& f = v.as_vec();
-  if (!f[0].is_str() || f[0].as_str() != "cert" || !f[1].is_int() ||
-      !f[3].is_int() || !f[4].is_int() || !f[5].is_str()) {
-    return std::nullopt;
-  }
-  const std::int64_t kind = f[1].as_int();
-  if (kind < 0 || kind > 2) return std::nullopt;
-  auto trace = trace_from_value(f[2]);
-  if (!trace) return std::nullopt;
-  // Witnesses must name processes of the certified execution (or carry the
-  // kNoProcess sentinel for kinds with fewer witnesses); anything else is a
-  // malformed certificate, not a weird-but-usable one.
-  auto checked_witness = [&](const Value& w) -> std::optional<ProcessId> {
-    const std::int64_t i = w.as_int();
-    if (i == static_cast<std::int64_t>(kNoProcess)) return kNoProcess;
-    if (i < 0 || i >= static_cast<std::int64_t>(trace->params.n)) {
-      return std::nullopt;
-    }
-    return static_cast<ProcessId>(i);
-  };
-  const auto wa = checked_witness(f[3]);
-  const auto wb = checked_witness(f[4]);
-  if (!wa || !wb) return std::nullopt;
-  ViolationCertificate cert;
-  cert.kind = static_cast<ViolationKind>(kind);
-  cert.execution = std::move(*trace);
-  cert.witness_a = *wa;
-  cert.witness_b = *wb;
-  cert.narrative = f[5].as_str();
-  return cert;
-}
+// A certificate encodes as the Value
+//   ["cert", kind, trace, witness_a, witness_b, narrative]
+// with the trace field spliced in by the streaming trace codec.
 
 Bytes encode_certificate(const ViolationCertificate& cert) {
-  return encode_value(certificate_to_value(cert));
+  BytesWriter w;
+  w.vec_header(6);
+  w.value(Value{"cert"});
+  w.int_value(static_cast<std::int64_t>(cert.kind));
+  write_trace(w, cert.execution);
+  w.int_value(cert.witness_a);
+  w.int_value(cert.witness_b);
+  w.value(Value{cert.narrative});
+  return w.take();
 }
 
 std::optional<ViolationCertificate> decode_certificate(
     std::span<const std::uint8_t> bytes) {
   try {
-    return certificate_from_value(decode_value(bytes));
+    BytesReader r(bytes);
+    if (r.kind() != Value::Kind::kVec || r.vec_len() != 6) return std::nullopt;
+    const Value tag = r.value();
+    const Value kind = r.value();
+    if (!tag.is_str() || tag.as_str() != "cert" || !kind.is_int() ||
+        kind.as_int() < 0 || kind.as_int() > 2) {
+      return std::nullopt;
+    }
+    auto trace = read_trace(r);
+    if (!trace) return std::nullopt;
+    const Value witness_a = r.value();
+    const Value witness_b = r.value();
+    const Value narrative = r.value();
+    if (!r.done() || !witness_a.is_int() || !witness_b.is_int() ||
+        !narrative.is_str()) {
+      return std::nullopt;
+    }
+    // Witnesses must name processes of the certified execution (or carry
+    // the kNoProcess sentinel for kinds with fewer witnesses); anything else
+    // is a malformed certificate, not a weird-but-usable one.
+    auto checked_witness = [&](const Value& w) -> std::optional<ProcessId> {
+      const std::int64_t i = w.as_int();
+      if (i == static_cast<std::int64_t>(kNoProcess)) return kNoProcess;
+      if (i < 0 || i >= static_cast<std::int64_t>(trace->params.n)) {
+        return std::nullopt;
+      }
+      return static_cast<ProcessId>(i);
+    };
+    const auto wa = checked_witness(witness_a);
+    const auto wb = checked_witness(witness_b);
+    if (!wa || !wb) return std::nullopt;
+    ViolationCertificate cert;
+    cert.kind = static_cast<ViolationKind>(kind.as_int());
+    cert.execution = std::move(*trace);
+    cert.witness_a = *wa;
+    cert.witness_b = *wb;
+    cert.narrative = narrative.as_str();
+    return cert;
   } catch (const SerdeError&) {
     return std::nullopt;
   }
+}
+
+Value certificate_to_value(const ViolationCertificate& cert) {
+  return decode_value(encode_certificate(cert));
+}
+
+std::optional<ViolationCertificate> certificate_from_value(const Value& v) {
+  return decode_certificate(encode_value(v));
 }
 
 }  // namespace ba::lowerbound

@@ -12,11 +12,16 @@
 
 namespace ba::lowerbound {
 
-Value certificate_to_value(const ViolationCertificate& cert);
-std::optional<ViolationCertificate> certificate_from_value(const Value& v);
-
+/// The embedded trace is written and read by the streaming trace codec
+/// (runtime/trace_io.h), so it is never built as a Value tree. Decoding
+/// rejects malformed and non-canonical bytes.
 Bytes encode_certificate(const ViolationCertificate& cert);
 std::optional<ViolationCertificate> decode_certificate(
     std::span<const std::uint8_t> bytes);
+
+/// The certificate as a Value, and back: thin wrappers over the byte codec
+/// for callers (tests) that edit the structure.
+Value certificate_to_value(const ViolationCertificate& cert);
+std::optional<ViolationCertificate> certificate_from_value(const Value& v);
 
 }  // namespace ba::lowerbound

@@ -1,114 +1,141 @@
 #include "runtime/serde.h"
 
+#include <cstring>
+
 namespace ba {
 
-void BytesWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_.push_back((v >> (8 * i)) & 0xff);
-}
-
-void BytesWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_.push_back((v >> (8 * i)) & 0xff);
+void BytesWriter::flush() {
+  out_.insert(out_.end(), stage_, stage_ + staged_);
+  staged_ = 0;
 }
 
 void BytesWriter::str(const std::string& s) {
   u64(s.size());
+  flush();
   out_.insert(out_.end(), s.begin(), s.end());
 }
 
 void BytesWriter::bytes(const Bytes& b) {
   u64(b.size());
+  flush();
   out_.insert(out_.end(), b.begin(), b.end());
 }
 
+void BytesWriter::repeat(std::size_t offset, std::size_t len) {
+  if (len == 0) return;
+  // Short copies go through the stage, from a source already in out_.
+  if (offset + len > out_.size() || kStage - staged_ < len) flush();
+  if (len <= kStage - staged_) {
+    std::memcpy(stage_ + staged_, out_.data() + offset, len);
+    staged_ += len;
+    return;
+  }
+  const std::size_t end = out_.size();
+  out_.resize(end + len);
+  std::memcpy(out_.data() + end, out_.data() + offset, len);
+}
+
 void BytesWriter::value(const Value& v) {
-  u8(static_cast<std::uint8_t>(v.kind()));
   switch (v.kind()) {
     case Value::Kind::kNull:
+      u8(static_cast<std::uint8_t>(Value::Kind::kNull));
       break;
     case Value::Kind::kBool:
+      u8(static_cast<std::uint8_t>(Value::Kind::kBool));
       u8(v.as_bool() ? 1 : 0);
       break;
     case Value::Kind::kInt:
-      i64(v.as_int());
+      int_value(v.as_int());
       break;
     case Value::Kind::kStr:
+      u8(static_cast<std::uint8_t>(Value::Kind::kStr));
       str(v.as_str());
       break;
     case Value::Kind::kVec:
-      u64(v.as_vec().size());
+      vec_header(v.as_vec().size());
       for (const Value& e : v.as_vec()) value(e);
       break;
   }
 }
 
-void BytesReader::need(std::size_t k) {
-  if (remaining() < k) throw SerdeError("truncated input");
-}
-
-std::uint8_t BytesReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint32_t BytesReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t BytesReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-  }
-  return v;
-}
+void BytesReader::fail(const char* what) { throw SerdeError(what); }
 
 std::string BytesReader::str() {
-  std::uint64_t len = u64();
-  need(len);
-  std::string s(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-  pos_ += len;
-  return s;
+  const std::uint64_t len = u64();
+  const auto* p = reinterpret_cast<const char*>(take(len));
+  return std::string(p, len);
 }
 
 Bytes BytesReader::bytes() {
-  std::uint64_t len = u64();
-  need(len);
-  Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-          data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-  pos_ += len;
-  return b;
+  const std::uint64_t len = u64();
+  const std::uint8_t* p = take(len);
+  return Bytes(p, p + len);
 }
 
 Value BytesReader::value() {
-  auto kind = static_cast<Value::Kind>(u8());
-  switch (kind) {
+  switch (kind()) {
     case Value::Kind::kNull:
       return Value::null();
     case Value::Kind::kBool:
-      return Value{u8() != 0};
+      return Value{boolean()};
     case Value::Kind::kInt:
       return Value{i64()};
     case Value::Kind::kStr:
       return Value{str()};
     case Value::Kind::kVec: {
-      std::uint64_t len = u64();
-      // Each element takes at least one byte: reject corrupted length
-      // fields before any allocation is attempted.
-      if (len > remaining()) throw SerdeError("vector length exceeds input");
+      const std::uint64_t len = vec_len();
       ValueVec vec;
       vec.reserve(len);
       for (std::uint64_t i = 0; i < len; ++i) vec.push_back(value());
       return Value{std::move(vec)};
     }
   }
-  throw SerdeError("bad value tag");
+  fail("bad value tag");
+}
+
+void BytesReader::skip_value() {
+  // The encoding is the value's pre-order, so counting the values still
+  // owed (a vector adds its elements) walks and checks exactly the bytes
+  // value() would, with no recursion however deep the nesting.
+  std::uint64_t pending = 1;
+  while (pending > 0) {
+    --pending;
+    switch (kind()) {
+      case Value::Kind::kNull:
+        break;
+      case Value::Kind::kBool:
+        boolean();
+        break;
+      case Value::Kind::kInt:
+        take(8);
+        break;
+      case Value::Kind::kStr:
+        take(u64());
+        break;
+      case Value::Kind::kVec:
+        pending += vec_len();
+        break;
+    }
+  }
+}
+
+std::size_t encoded_size(const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kNull:
+      return 1;
+    case Value::Kind::kBool:
+      return 2;
+    case Value::Kind::kInt:
+      return 9;
+    case Value::Kind::kStr:
+      return 9 + v.as_str().size();
+    case Value::Kind::kVec: {
+      std::size_t n = 9;
+      for (const Value& e : v.as_vec()) n += encoded_size(e);
+      return n;
+    }
+  }
+  return 0;
 }
 
 Bytes encode_value(const Value& v) {

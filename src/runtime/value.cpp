@@ -27,10 +27,14 @@ ValueVec& Value::as_vec() {
 }
 
 bool Value::shares_rep_with(const Value& other) const {
-  if (rep_.index() != other.rep_.index()) return false;
-  if (is_str()) return std::get<StrPtr>(rep_) == std::get<StrPtr>(other.rep_);
-  if (is_vec()) return std::get<VecPtr>(rep_) == std::get<VecPtr>(other.rep_);
-  return false;
+  const void* id = payload_identity();
+  return id != nullptr && id == other.payload_identity();
+}
+
+const void* Value::payload_identity() const {
+  if (is_str()) return std::get<StrPtr>(rep_).get();
+  if (is_vec()) return std::get<VecPtr>(rep_).get();
+  return nullptr;
 }
 
 std::optional<int> Value::try_bit() const {

@@ -108,6 +108,11 @@ class Value {
   /// after a copy, until one side is mutated). Identity-level introspection
   /// for tests and diagnostics; never part of value semantics.
   [[nodiscard]] bool shares_rep_with(const Value& other) const;
+  /// The address of the shared string/vector payload, or nullptr for the
+  /// scalar kinds. Two Values return the same non-null address exactly when
+  /// `shares_rep_with` holds for them, so a codec can serialize a payload
+  /// once per object. Read-only identity, never part of value semantics.
+  [[nodiscard]] const void* payload_identity() const;
 
   friend bool operator==(const Value& a, const Value& b);
   friend std::strong_ordering operator<=>(const Value& a, const Value& b);

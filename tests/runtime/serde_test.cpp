@@ -13,7 +13,8 @@ TEST(Serde, PrimitivesRoundTrip) {
   w.i64(-42);
   w.str("hello");
 
-  BytesReader r(w.data());
+  const Bytes bytes = w.take();
+  BytesReader r(bytes);
   EXPECT_EQ(r.u8(), 0xab);
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
   EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
@@ -60,6 +61,100 @@ TEST(Serde, TrailingBytesThrow) {
 TEST(Serde, BadTagThrows) {
   Bytes b{0x99};
   EXPECT_THROW(decode_value(b), SerdeError);
+}
+
+std::string serde_error(std::span<const std::uint8_t> bytes, bool skip) {
+  try {
+    BytesReader r(bytes);
+    if (skip) {
+      r.skip_value();
+    } else {
+      r.value();
+    }
+  } catch (const SerdeError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Serde, BoolBytesOtherThanZeroOrOneThrow) {
+  for (const std::uint8_t b : {2, 0x80, 0xff}) {
+    const Bytes bare{static_cast<std::uint8_t>(Value::Kind::kBool), b};
+    EXPECT_EQ(serde_error(bare, false), "bad bool byte");
+    EXPECT_EQ(serde_error(bare, true), "bad bool byte");
+  }
+  // Inside a payload, too: the accepted bytes are exactly the canonical ones.
+  Bytes nested = encode_value(Value::vec({Value{"x"}, Value{true}}));
+  nested.back() = 2;
+  EXPECT_THROW(decode_value(nested), SerdeError);
+  EXPECT_EQ(serde_error(nested, true), "bad bool byte");
+}
+
+const std::vector<Value>& sample_values() {
+  static const std::vector<Value> values{
+      Value::null(),
+      Value{true},
+      Value{std::int64_t{-1}},
+      Value{""},
+      Value{std::string(300, 'x')},
+      Value{ValueVec{}},
+      Value::vec({Value{"chain"}, Value{1},
+                  Value::vec({Value::vec({}), Value{false}})}),
+  };
+  return values;
+}
+
+TEST(Serde, SkipValueStopsWhereValueDoes) {
+  for (const Value& v : sample_values()) {
+    Bytes b = encode_value(v);
+    b.push_back(0x2a);
+    BytesReader skipped(b);
+    BytesReader read(b);
+    skipped.skip_value();
+    EXPECT_EQ(read.value(), v);
+    EXPECT_EQ(skipped.pos(), read.pos()) << v;
+    EXPECT_EQ(skipped.remaining(), 1u) << v;
+    EXPECT_EQ(encoded_size(v), b.size() - 1) << v;
+  }
+}
+
+TEST(Serde, SkipValueMakesTheChecksValueMakes) {
+  const Bytes good = encode_value(
+      Value::vec({Value{"ab"}, Value{7}, Value::vec({Value{true}})}));
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    const auto prefix = std::span(good).first(len);
+    EXPECT_EQ(serde_error(prefix, true), serde_error(prefix, false)) << len;
+  }
+  const Bytes bad_tag{0x05};
+  EXPECT_EQ(serde_error(bad_tag, true), "bad value tag");
+  Bytes too_long = encode_value(Value::vec({Value{1}}));
+  too_long[1] = 0x40;  // claims 64 elements in 9 bytes
+  EXPECT_EQ(serde_error(too_long, true), "vector length exceeds input");
+  EXPECT_EQ(serde_error(too_long, false), "vector length exceeds input");
+}
+
+TEST(Serde, StreamingWritesMatchWholeValueEncoding) {
+  // Enough fixed-width pieces to cross the writer's staging buffer, a
+  // repeat whose source is still staged, a short one, and one longer than
+  // the stage.
+  ValueVec elems;
+  BytesWriter w;
+  w.vec_header(106);
+  for (int i = 0; i < 100; ++i) {
+    w.int_value(i - 50);
+    elems.emplace_back(i - 50);
+  }
+  for (const Value& v :
+       {Value{5}, Value{"short"}, Value{std::string(1000, 'z')}}) {
+    const std::size_t at = w.size();
+    w.value(v);
+    w.repeat(at, w.size() - at);
+    elems.push_back(v);
+    elems.push_back(v);
+  }
+  const Value whole{elems};
+  EXPECT_EQ(w.size(), encoded_size(whole));
+  EXPECT_EQ(w.take(), encode_value(whole));
 }
 
 TEST(Serde, EmptyReaderReportsDone) {

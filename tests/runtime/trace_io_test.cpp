@@ -118,6 +118,36 @@ TEST(TraceIo, RejectsWrongProcessCount) {
   EXPECT_NE(error.find("process trace"), std::string::npos) << error;
 }
 
+TEST(TraceIo, RejectsNonCanonicalFaultyLists) {
+  // The faulty set is written in ascending order. An unsorted or repeated
+  // list would decode to the same set and re-encode to different bytes.
+  for (const ValueVec& ids : {ValueVec{4, 3}, ValueVec{3, 3, 4}}) {
+    Value v = trace_to_value(sample_trace());
+    v.as_vec()[3] = Value{ids};
+    std::string error;
+    EXPECT_EQ(trace_from_value(v, &error), std::nullopt);
+    EXPECT_EQ(error, "trace: faulty ids must be strictly ascending");
+    error.clear();
+    EXPECT_EQ(decode_trace(encode_value(v), &error), std::nullopt);
+    EXPECT_EQ(error, "trace: faulty ids must be strictly ascending");
+  }
+}
+
+TEST(TraceIo, RejectsANonCanonicalQuiescedByte) {
+  const ExecutionTrace trace = sample_trace();
+  Bytes bytes = encode_trace(trace);
+  // The quiesced bool follows the outer vector header, "trace", n, t, the
+  // faulty ids and the round count; its body follows its tag.
+  const std::size_t at =
+      9 + (9 + 5) + 9 + 9 + (9 + 9 * trace.faulty.size()) + 9 + 1;
+  ASSERT_EQ(bytes[at - 1], static_cast<std::uint8_t>(Value::Kind::kBool));
+  ASSERT_EQ(bytes[at], trace.quiesced ? 1 : 0);
+  bytes[at] = 2;
+  std::string error;
+  EXPECT_EQ(decode_trace(bytes, &error), std::nullopt);
+  EXPECT_EQ(error, "serde: bad bool byte");
+}
+
 TEST(TraceIo, DecodedTraceSurvivesTheLinter) {
   // Decode-then-lint is the tools/lint_trace pipeline; a round-tripped
   // genuine trace must lint clean structurally.
