@@ -19,7 +19,7 @@ namespace ba::protocols {
 
 const std::vector<statics::CommSpec>& all_comm_specs() {
   // Parameter choices mirror the runnable surfaces: gossip-ring at (k=2,
-  // rounds=3) and relay-ring at k=2 (tools/tool_protocols.h,
+  // rounds=3) and relay-ring at k=2 (src/protocols/registry.cpp,
   // lowerbound/sweep.cpp); approximate agreement at the test suite's
   // (epsilon=1, value_bound=1024); k-set at k=2.
   static const std::vector<statics::CommSpec> specs = {

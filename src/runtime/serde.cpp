@@ -72,7 +72,7 @@ Bytes BytesReader::bytes() {
   return Bytes(p, p + len);
 }
 
-Value BytesReader::value() {
+Value BytesReader::value_at(std::uint32_t depth) {
   switch (kind()) {
     case Value::Kind::kNull:
       return Value::null();
@@ -83,10 +83,13 @@ Value BytesReader::value() {
     case Value::Kind::kStr:
       return Value{str()};
     case Value::Kind::kVec: {
+      if (depth == kMaxValueNesting) fail("nesting too deep");
       const std::uint64_t len = vec_len();
       ValueVec vec;
       vec.reserve(len);
-      for (std::uint64_t i = 0; i < len; ++i) vec.push_back(value());
+      for (std::uint64_t i = 0; i < len; ++i) {
+        vec.push_back(value_at(depth + 1));
+      }
       return Value{std::move(vec)};
     }
   }

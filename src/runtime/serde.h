@@ -119,6 +119,12 @@ class BytesWriter {
   std::size_t staged_{0};
 };
 
+/// The deepest vector nesting `BytesReader::value()` decodes: a value
+/// nested deeper throws `nesting too deep` instead of recursing once per
+/// level until the stack runs out. Every value the protocols emit nests far
+/// less (tests/runtime/trace_codec_test.cpp pins the margin).
+inline constexpr std::uint32_t kMaxValueNesting = 64;
+
 class BytesReader {
  public:
   explicit BytesReader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -133,7 +139,9 @@ class BytesReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   std::string str();
   Bytes bytes();
-  Value value();
+  /// Decodes one value; throws on vectors nested deeper than
+  /// kMaxValueNesting.
+  Value value() { return value_at(0); }
 
   /// Value-decoding pieces for readers that stream a structured value. `kind`
   /// reads a tag byte and throws on an unknown one; `boolean` reads a bool
@@ -157,8 +165,8 @@ class BytesReader {
     if (len > remaining()) fail("vector length exceeds input");
     return len;
   }
-  /// Advances past one encoded value, with exactly the checks `value()`
-  /// makes, without allocating or recursing.
+  /// Advances past one encoded value, with the checks `value()` makes
+  /// except the nesting limit, without allocating or recursing.
   void skip_value();
 
   [[nodiscard]] std::size_t pos() const { return pos_; }
@@ -171,6 +179,8 @@ class BytesReader {
 
  private:
   [[noreturn]] static void fail(const char* what);
+  /// value() inside `depth` enclosing vectors.
+  Value value_at(std::uint32_t depth);
   /// Consumes `k` bytes (one bounds check) and returns the first.
   const std::uint8_t* take(std::size_t k) {
     if (remaining() < k) fail("truncated input");

@@ -26,7 +26,7 @@ std::uint64_t ExecutionTrace::payload_bytes_sent_by_correct() const {
     if (faulty.contains(p)) continue;
     for (const RoundEvents& re : procs[p].rounds) {
       for (const Message& m : re.sent) {
-        bytes += encode_value(m.payload).size();
+        bytes += encoded_size(m.payload);
       }
     }
   }

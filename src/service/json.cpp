@@ -56,8 +56,14 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonNesting) fail_at(pos_, "nesting too deep");
+        ++depth_;
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -221,6 +227,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_{0};
+  std::uint32_t depth_{0};  // enclosing arrays and objects
 };
 
 [[noreturn]] void wrong_kind(const char* expected) {

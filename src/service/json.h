@@ -23,6 +23,11 @@
 
 namespace ba::service {
 
+/// The deepest array/object nesting Json::parse accepts: deeper input throws
+/// `json: nesting too deep at byte N` instead of recursing once per level
+/// until the stack runs out. Specs and rows nest at most two levels.
+inline constexpr std::uint32_t kMaxJsonNesting = 64;
+
 class Json {
  public:
   // kUint holds non-negative integers above INT64_MAX (campaign seeds and
@@ -46,7 +51,7 @@ class Json {
 
   /// Parses `text` as one JSON document (trailing non-whitespace is an
   /// error). Throws std::runtime_error with a byte offset on malformed
-  /// input.
+  /// input, including nesting deeper than kMaxJsonNesting.
   static Json parse(std::string_view text);
 
   [[nodiscard]] Kind kind() const { return kind_; }

@@ -32,6 +32,11 @@ namespace fs = std::filesystem;
 // pure functions of (spec, task) by construction (campaign.h).
 using Clock = std::chrono::steady_clock;
 
+// How long a worker may go without heartbeat progress before it is declared
+// dead and SIGKILLed. Control-plane only: affects who computes rows, never
+// their bytes.
+constexpr std::chrono::milliseconds kHeartbeatStale{30000};
+
 [[noreturn]] void serve_error(const std::string& what) {
   throw std::runtime_error("serve: " + what);
 }
@@ -321,8 +326,7 @@ ServeSummary serve_campaign(const CampaignSpec& spec,
         if (hb != w.last_heartbeat) {
           w.last_heartbeat = hb;
           w.last_progress = now;
-        } else if (now - w.last_progress >
-                   std::chrono::milliseconds(options.heartbeat_stale_ms)) {
+        } else if (now - w.last_progress > kHeartbeatStale) {
           kill(w.pid, SIGKILL);
           waitpid(w.pid, &status, 0);
           w.pid = -1;

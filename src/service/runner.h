@@ -44,10 +44,6 @@ struct ServeOptions {
   /// Dead-worker respawn budget for the whole campaign; when exhausted the
   /// campaign throws, leaving the state directory resumable.
   std::uint32_t respawn_budget{2};
-  /// Milliseconds without heartbeat progress before a worker is declared
-  /// dead and SIGKILLed. Control-plane only: affects who computes rows,
-  /// never their bytes.
-  std::uint32_t heartbeat_stale_ms{30000};
   /// Coordinator poll interval, milliseconds.
   std::uint32_t poll_ms{25};
   /// Executable to spawn workers from; empty = /proc/self/exe. The

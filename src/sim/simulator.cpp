@@ -208,7 +208,7 @@ SimResult simulate(const SystemParams& params, const ProtocolFactory& protocol,
         if (metering) {
           LinkStats& l = out.metrics.link(m.sender, m.receiver);
           ++l.delivered;
-          l.payload_bytes += encode_value(m.payload).size();
+          l.payload_bytes += encoded_size(m.payload);
           ++out.metrics.delivered_to[m.receiver];
           ++out.metrics.deliveries;
           out.metrics.latency.record(ev.latency);

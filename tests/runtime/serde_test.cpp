@@ -133,6 +133,32 @@ TEST(Serde, SkipValueMakesTheChecksValueMakes) {
   EXPECT_EQ(serde_error(too_long, false), "vector length exceeds input");
 }
 
+// `depth` nested one-element vectors around a null, built byte by byte so no
+// deep Value is ever constructed.
+Bytes nested_vectors(std::size_t depth) {
+  Bytes b;
+  for (std::size_t i = 0; i < depth; ++i) {
+    b.push_back(static_cast<std::uint8_t>(Value::Kind::kVec));
+    b.push_back(1);
+    b.insert(b.end(), 7, 0);
+  }
+  b.push_back(static_cast<std::uint8_t>(Value::Kind::kNull));
+  return b;
+}
+
+TEST(Serde, NestingDeeperThanTheLimitThrows) {
+  const Bytes at_limit = nested_vectors(kMaxValueNesting);
+  EXPECT_EQ(encode_value(decode_value(at_limit)), at_limit);
+  for (const std::size_t depth : {std::size_t{kMaxValueNesting} + 1,
+                                  std::size_t{100000}}) {
+    EXPECT_EQ(serde_error(nested_vectors(depth), false), "nesting too deep")
+        << depth;
+    EXPECT_THROW((void)decode_value(nested_vectors(depth)), SerdeError);
+    // skip_value is iterative: any depth is walked, none is refused.
+    EXPECT_EQ(serde_error(nested_vectors(depth), true), "") << depth;
+  }
+}
+
 TEST(Serde, StreamingWritesMatchWholeValueEncoding) {
   // Enough fixed-width pieces to cross the writer's staging buffer, a
   // repeat whose source is still staged, a short one, and one longer than

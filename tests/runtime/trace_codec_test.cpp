@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <string>
@@ -353,6 +354,88 @@ TEST(TraceCodecSharing, DecodedPayloadsAreSharedCopyOnWrite) {
   EXPECT_FALSE(in.payload.shares_rep_with(out.payload));
   EXPECT_EQ(encode_value(out.payload), sent_bytes);
   EXPECT_NE(in.payload, out.payload);
+}
+
+// ---------------------------------------------------------------------------
+// Nesting limit.
+
+// Vectors enclosing the deepest leaf of `v` (0 for a scalar).
+std::uint32_t nesting(const Value& v) {
+  if (!v.is_vec()) return 0;
+  std::uint32_t deepest = 0;
+  for (const Value& e : v.as_vec()) deepest = std::max(deepest, nesting(e));
+  return deepest + 1;
+}
+
+std::uint32_t deepest_value(const ExecutionTrace& trace) {
+  std::uint32_t deepest = 0;
+  const auto visit = [&](const Value& v) {
+    deepest = std::max(deepest, nesting(v));
+  };
+  for (const ProcessTrace& pt : trace.procs) {
+    visit(pt.proposal);
+    if (pt.decision) visit(*pt.decision);
+    for (const RoundEvents& re : pt.rounds) {
+      for (const auto* list : {&re.sent, &re.send_omitted, &re.received,
+                               &re.receive_omitted}) {
+        for (const Message& m : *list) visit(m.payload);
+      }
+    }
+  }
+  return deepest;
+}
+
+TEST(TraceCodecNesting, GoldenValuesNestWellBelowTheLimit) {
+  std::uint32_t deepest = 0;
+  for (const Golden& g : golden_set()) {
+    deepest = std::max(deepest, deepest_value(g.trace));
+    if (g.provenance) deepest = std::max(deepest, nesting(*g.provenance));
+  }
+  const SystemParams params{32, 31};
+  for (const auto& entry : lowerbound::standard_sweep_entries()) {
+    const auto report =
+        lowerbound::attack_weak_consensus(params, entry.make(params));
+    if (report.certificate) {
+      deepest = std::max(deepest, deepest_value(report.certificate->execution));
+    }
+  }
+  EXPECT_GT(deepest, 0u);
+  EXPECT_LE(deepest, kMaxValueNesting / 4);
+}
+
+TEST(TraceCodecNesting, ADeepPayloadIsThePinnedSerdeError) {
+  ExecutionTrace trace = pk_trace(4, 1, "fault-free");
+  const Value marker{"deep-payload-marker"};
+  trace.procs[0].rounds.at(0).sent.front().payload = marker;
+  const Bytes base = encode_trace(trace);
+  const Bytes marker_bytes = encode_value(marker);
+  const auto at = std::search(base.begin(), base.end(), marker_bytes.begin(),
+                              marker_bytes.end());
+  ASSERT_NE(at, base.end());
+  // The trace with the marker payload replaced by `depth` nested
+  // one-element vectors, spliced in as bytes.
+  const auto with_depth = [&](std::size_t depth) {
+    Bytes b(base.begin(), at);
+    for (std::size_t i = 0; i < depth; ++i) {
+      b.push_back(static_cast<std::uint8_t>(Value::Kind::kVec));
+      b.push_back(1);
+      b.insert(b.end(), 7, 0);
+    }
+    b.push_back(static_cast<std::uint8_t>(Value::Kind::kNull));
+    b.insert(b.end(), at + static_cast<std::ptrdiff_t>(marker_bytes.size()),
+             base.end());
+    return b;
+  };
+  const auto decoded = decode_trace(with_depth(kMaxValueNesting));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(nesting(decoded->procs[0].rounds.at(0).sent.front().payload),
+            kMaxValueNesting);
+  for (const std::size_t depth : {std::size_t{kMaxValueNesting} + 1,
+                                  std::size_t{100000}}) {
+    std::string error;
+    EXPECT_EQ(decode_trace(with_depth(depth), &error), std::nullopt) << depth;
+    EXPECT_EQ(error, "serde: nesting too deep") << depth;
+  }
 }
 
 }  // namespace

@@ -264,6 +264,15 @@ TEST(BitComplexity, CountsPayloadBytes) {
   // are small tagged vectors (well under 64 bytes).
   EXPECT_GE(bytes, msgs);
   EXPECT_LE(bytes, msgs * 64);
+  std::uint64_t encoded = 0;
+  for (const ProcessTrace& pt : res.trace.procs) {
+    for (const RoundEvents& re : pt.rounds) {
+      for (const Message& m : re.sent) {
+        encoded += encode_value(m.payload).size();
+      }
+    }
+  }
+  EXPECT_EQ(bytes, encoded);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "faults/fault_spec.h"
 #include "parallel/seed.h"
 #include "service/campaign.h"
+#include "service/json.h"
 
 namespace ba::service {
 namespace {
@@ -220,6 +221,37 @@ TEST(CampaignSpec, FaultAxisRejectionSurface) {
   rejects(
       R"({"protocols": ["phase-king"], "grid": ["4:1"],
           "fault_axis": ["crash"], "fault_counts": [2]})");
+}
+
+TEST(CampaignSpec, DeeplyNestedJsonIsThePinnedParseError) {
+  // A spec whose "name" is `depth` nested arrays inside the top-level
+  // object, so the document nests depth + 1 levels.
+  const auto spec_with = [](std::size_t depth) {
+    return R"({"protocols": ["phase-king"], "grid": ["4:1"], "name": )" +
+           std::string(depth, '[') + std::string(depth, ']') + "}";
+  };
+  const std::string prefix = spec_with(0).substr(0, spec_with(0).size() - 1);
+  // At the limit the document parses, and the spec rejects the field type;
+  // one level over it (and far over it) the parser refuses it at the first
+  // bracket past the limit, before any field is read.
+  try {
+    (void)CampaignSpec::from_json(spec_with(kMaxJsonNesting - 1));
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).find("nesting"), std::string::npos)
+        << e.what();
+  }
+  for (const std::size_t depth : {std::size_t{kMaxJsonNesting},
+                                  std::size_t{100000}}) {
+    try {
+      (void)CampaignSpec::from_json(spec_with(depth));
+      FAIL() << "expected std::runtime_error at depth " << depth;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "json: nesting too deep at byte " +
+                    std::to_string(prefix.size() + kMaxJsonNesting - 1));
+    }
+  }
 }
 
 TEST(CampaignSpec, UnknownFaultPlanErrorIsThePinnedString) {

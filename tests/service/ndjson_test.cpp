@@ -59,6 +59,26 @@ TEST(Json, RejectsMalformedInput) {
   rejects("-9223372036854775809");  // < INT64_MIN
 }
 
+TEST(Json, NestingDeeperThanTheLimitThrows) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(Json::parse(nested(kMaxJsonNesting)).kind(), Json::Kind::kArray);
+  EXPECT_NO_THROW((void)Json::parse("{\"a\": " + nested(kMaxJsonNesting - 1) +
+                                    "}"));
+  for (const std::size_t depth : {std::size_t{kMaxJsonNesting} + 1,
+                                  std::size_t{100000}}) {
+    try {
+      (void)Json::parse(nested(depth));
+      FAIL() << "expected std::runtime_error at depth " << depth;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "json: nesting too deep at byte " +
+                    std::to_string(kMaxJsonNesting));
+    }
+  }
+}
+
 TEST(Json, TypedAccessorsThrowOnKindMismatch) {
   const Json doc = Json::parse(R"({"s": "x", "neg": -1})");
   EXPECT_THROW((void)doc.find("s")->as_int(), std::runtime_error);

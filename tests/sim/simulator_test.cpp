@@ -236,6 +236,17 @@ TEST(Simulator, FaultFreeMetricsConserveMessages) {
   EXPECT_EQ(res.metrics.latency.count, res.metrics.deliveries);
   EXPECT_GT(res.metrics.total_payload_bytes(), 0u);
   EXPECT_FALSE(res.metrics.summary().empty());
+  // Every delivered message is metered at its encoded size; fault-free,
+  // the delivered messages are exactly the received ones in the trace.
+  std::uint64_t encoded = 0;
+  for (const ProcessTrace& pt : res.run.trace.procs) {
+    for (const RoundEvents& re : pt.rounds) {
+      for (const Message& m : re.received) {
+        encoded += encode_value(m.payload).size();
+      }
+    }
+  }
+  EXPECT_EQ(res.metrics.total_payload_bytes(), encoded);
 }
 
 TEST(Simulator, ValidatesConfigurationAndBudget) {

@@ -49,7 +49,7 @@ TEST(CommSpecRegistry, NamesAndAliasesAreUnique) {
 }
 
 TEST(CommSpecRegistry, EverySurfaceNameResolves) {
-  // The CLI names (tools/tool_protocols.h) and the sweep entry names
+  // The CLI names (src/protocols/registry.cpp) and the sweep entry names
   // (lowerbound::standard_sweep_entries) must all reach a spec, so the
   // budget wiring covers every runnable surface.
   for (const char* name :

@@ -16,72 +16,38 @@
 // and fails the audit.
 //
 // Exit codes: 0 = trace lints clean; 1 = violations found or unknown
-// provenance backend; 2 = usage error; 3 = the file cannot be read or
-// decoded.
+// provenance backend; 2 = usage error (tools/cli.h pins the argument
+// errors); 3 = the file cannot be read, decoded or audited.
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <iterator>
-#include <optional>
 #include <string>
 
 #include "analysis/lint.h"
-#include "engine/registry.h"
-#include "tool_protocols.h"
-
-namespace {
+#include "cli.h"
+#include "core/ba.h"
 
 using namespace ba;
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: lint_trace <FILE> [--protocol NAME] [--quiet]\n"
-               "protocols: %s\n",
-               tools::protocol_names());
-  return 2;
-}
+namespace {
 
-std::optional<Bytes> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  Bytes bytes((std::istreambuf_iterator<char>(in)),
-              std::istreambuf_iterator<char>());
-  return bytes;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string file;
-  std::string protocol_name;
+int lint(int argc, char** argv) {
+  std::string file, protocol_name;
   bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--protocol") == 0 && i + 1 < argc) {
-      protocol_name = argv[++i];
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else if (file.empty() && argv[i][0] != '-') {
-      file = argv[i];
-    } else {
-      return usage();
-    }
-  }
-  if (file.empty()) return usage();
+  const cli::Command cmd{"lint_trace",
+                         {cli::positional("FILE", &file)},
+                         {{"--protocol", "NAME", &protocol_name},
+                          {"--quiet", "", &quiet}}};
+  if (!cli::parse(cmd, argc - 1, argv + 1)) return 2;
 
-  auto bytes = read_file(file);
-  if (!bytes) {
-    std::fprintf(stderr, "lint_trace: cannot read %s\n", file.c_str());
-    return 3;
-  }
+  auto bytes = cli::read_file(file);
+  if (!bytes) return cli::fail(3, "lint_trace: cannot read " + file);
   std::string decode_error;
   Value provenance = Value::null();
   auto trace = decode_trace(*bytes, &decode_error, &provenance);
   if (!trace) {
-    std::fprintf(stderr, "lint_trace: %s is not a valid trace: %s\n",
-                 file.c_str(), decode_error.c_str());
-    return 3;
+    return cli::fail(
+        3, "lint_trace: " + file + " is not a valid trace: " + decode_error);
   }
 
   // Audit v2 provenance against the backend registry before linting: a
@@ -95,18 +61,14 @@ int main(int argc, char** argv) {
                        ? prov.as_vec().front().as_str()
                        : std::string{};
     if (backend_name.empty() ||
-        !ba::engine::Registry::global().knows(backend_name)) {
+        !engine::Registry::global().knows(backend_name)) {
       provenance_ok = false;
-      std::fprintf(stderr,
-                   "lint_trace: provenance names unknown execution backend "
-                   "'%s' (registered: ",
-                   backend_name.c_str());
-      bool first = true;
-      for (const std::string& known : ba::engine::Registry::global().names()) {
-        std::fprintf(stderr, "%s%s", first ? "" : " ", known.c_str());
-        first = false;
+      std::string registered;
+      for (const std::string& known : engine::Registry::global().names()) {
+        registered += registered.empty() ? known : " " + known;
       }
-      std::fprintf(stderr, ")\n");
+      cli::fail(1, "lint_trace: provenance names unknown execution backend '" +
+                   backend_name + "' (registered: " + registered + ")");
     }
   }
 
@@ -126,11 +88,12 @@ int main(int argc, char** argv) {
 
   analysis::LintReport report;
   if (!protocol_name.empty()) {
-    auto protocol = tools::make_protocol(protocol_name, trace->params.n);
+    auto protocol =
+        protocols::make_protocol_by_name(protocol_name, trace->params.n);
     if (!protocol) {
-      std::fprintf(stderr, "lint_trace: unknown protocol %s\n",
-                   protocol_name.c_str());
-      return usage();
+      return cli::fail(2, "lint_trace: unknown protocol " + protocol_name +
+                          "\nusage:\n" + cmd.usage() + "protocols: " +
+                          protocols::registered_protocol_names());
     }
     report = analysis::lint_execution(*trace, *protocol, options);
   } else {
@@ -154,4 +117,15 @@ int main(int argc, char** argv) {
     std::cout << report.summary() << '\n';
   }
   return report.clean() && provenance_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return lint(argc, argv);
+  } catch (const std::exception& e) {
+    // A library error on a decodable trace is reported, not aborted on.
+    return cli::fail(3, std::string("lint_trace: ") + e.what());
+  }
 }

@@ -11,69 +11,43 @@
 // Exit codes: 0 = OK; 2 = usage error; 3 = IN cannot be read or decoded;
 // 1 = OUT cannot be written.
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <iterator>
-#include <optional>
 #include <string>
 
+#include "cli.h"
 #include "runtime/trace_io.h"
-
-namespace {
 
 using namespace ba;
 
-std::optional<Bytes> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  Bytes bytes((std::istreambuf_iterator<char>(in)),
-              std::istreambuf_iterator<char>());
-  return bytes;
-}
-
-bool write_file(const std::string& path, const Bytes& bytes) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(out);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: stamp_trace <IN> <OUT> <backend> [model] [seed] "
-                 "[round_ticks]\n");
-    return 2;
-  }
-  const std::string in_path = argv[1];
-  const std::string out_path = argv[2];
-  const std::string backend = argv[3];
-  const std::string model = argc > 4 ? argv[4] : "sync";
-  const std::int64_t seed = argc > 5 ? std::atoll(argv[5]) : 0;
-  const std::int64_t round_ticks = argc > 6 ? std::atoll(argv[6]) : 0;
+  std::string in_path, out_path, backend, model = "sync";
+  std::uint64_t seed = 0, round_ticks = 0;
+  const cli::Command cmd{"stamp_trace",
+                         {cli::positional("IN", &in_path),
+                          cli::positional("OUT", &out_path),
+                          cli::positional("backend", &backend),
+                          cli::positional("model", &model, true),
+                          cli::positional("seed", &seed, true),
+                          cli::positional("round_ticks", &round_ticks, true)},
+                         {}};
+  if (!cli::parse(cmd, argc - 1, argv + 1)) return 2;
 
-  auto bytes = read_file(in_path);
-  if (!bytes) {
-    std::fprintf(stderr, "stamp_trace: cannot read %s\n", in_path.c_str());
-    return 3;
-  }
+  auto bytes = cli::read_file(in_path);
+  if (!bytes) return cli::fail(3, "stamp_trace: cannot read " + in_path);
   std::string decode_error;
   auto trace = decode_trace(*bytes, &decode_error);
   if (!trace) {
-    std::fprintf(stderr, "stamp_trace: %s is not a valid trace: %s\n",
-                 in_path.c_str(), decode_error.c_str());
-    return 3;
+    return cli::fail(3, "stamp_trace: " + in_path +
+                        " is not a valid trace: " + decode_error);
   }
-  const Value provenance = Value::vec(
-      {Value{backend}, Value{model}, Value{seed}, Value{round_ticks}});
-  if (!write_file(out_path, encode_trace_with_provenance(*trace, provenance))) {
-    std::fprintf(stderr, "stamp_trace: failed to write %s\n",
-                 out_path.c_str());
-    return 1;
+  // seed and round_ticks are stamped as the int64 bit patterns ba_cli
+  // stamps for the same unsigned values.
+  const Value provenance =
+      Value::vec({Value{backend}, Value{model},
+                  Value{static_cast<std::int64_t>(seed)},
+                  Value{static_cast<std::int64_t>(round_ticks)}});
+  if (!cli::write_file(out_path,
+                       encode_trace_with_provenance(*trace, provenance))) {
+    return cli::fail(1, "stamp_trace: failed to write " + out_path);
   }
   return 0;
 }
