@@ -5,6 +5,7 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "runtime/sync_system.h"
 
@@ -313,14 +314,14 @@ class Linter {
       std::vector<Inbox> inboxes;
       inboxes.reserve(pt.rounds.size());
       for (const RoundEvents& re : pt.rounds) inboxes.push_back(re.received);
-      const ReplayResult replay =
+      ReplayResult replay =
           replay_process(trace_.params, protocol, p, pt.proposal, inboxes);
       report_.stats.processes_replayed++;
 
       for (std::size_t i = 0; i < pt.rounds.size(); ++i) {
         const Round r = static_cast<Round>(i + 1);
         const std::vector<Message> expected =
-            normalize_outbox(replay.outboxes[i], p, r, n);
+            normalize_outbox(std::move(replay.outboxes[i]), p, r, n);
         // The machine's intended sends are the union of what the network
         // delivered and what the adversary suppressed (empty for a correct
         // process unless the budget check already fired).

@@ -10,6 +10,7 @@
 namespace ba::async {
 namespace {
 
+using protocols::append_multicast;
 using protocols::field;
 using protocols::has_tag;
 using protocols::tagged;
@@ -153,21 +154,17 @@ class BenOrProcess final : public AsyncProcess {
   void broadcast_report(Outbox& out) {
     seen_report_[phase_][self_] = true;
     report_votes_[phase_][static_cast<std::size_t>(x_)]++;
-    multicast(out, tagged("bo1", {Value(static_cast<std::int64_t>(phase_)),
-                                  Value::bit(x_)}));
+    append_multicast(out, n_, self_,
+                     tagged("bo1", {Value(static_cast<std::int64_t>(phase_)),
+                                    Value::bit(x_)}));
   }
 
   void broadcast_proposal(Outbox& out, int vote) {
     seen_proposal_[phase_][self_] = true;
     proposal_votes_[phase_][static_cast<std::size_t>(vote)]++;
-    multicast(out, tagged("bo2", {Value(static_cast<std::int64_t>(phase_)),
-                                  Value(static_cast<std::int64_t>(vote))}));
-  }
-
-  void multicast(Outbox& out, const Value& payload) {
-    for (ProcessId p = 0; p < n_; ++p) {
-      if (p != self_) out.push_back(Outgoing{p, payload});
-    }
+    append_multicast(out, n_, self_,
+                     tagged("bo2", {Value(static_cast<std::int64_t>(phase_)),
+                                    Value(static_cast<std::int64_t>(vote))}));
   }
 
   template <std::size_t K>

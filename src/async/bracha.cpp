@@ -7,6 +7,7 @@
 namespace ba::async {
 namespace {
 
+using protocols::append_multicast;
 using protocols::has_tag;
 using protocols::tagged;
 
@@ -58,7 +59,7 @@ class BrachaProcess final : public AsyncProcess {
       sent_echo_ = true;
       echo_from_[self_] = true;
       echoes_++;
-      multicast(out, tagged("echo", {}));
+      append_multicast(out, n_, self_, tagged("echo", {}));
     }
     if (sent_echo_ && !sent_ready_ &&
         (echoes_ >= bracha_echo_quorum(n_, t_) ||
@@ -66,16 +67,10 @@ class BrachaProcess final : public AsyncProcess {
       sent_ready_ = true;
       ready_from_[self_] = true;
       readies_++;
-      multicast(out, tagged("ready", {}));
+      append_multicast(out, n_, self_, tagged("ready", {}));
     }
     if (sent_ready_ && !decision_ && readies_ >= bracha_ready_quorum(t_)) {
       decision_ = Value::bit(1);
-    }
-  }
-
-  void multicast(Outbox& out, const Value& payload) {
-    for (ProcessId p = 0; p < n_; ++p) {
-      if (p != self_) out.push_back(Outgoing{p, payload});
     }
   }
 

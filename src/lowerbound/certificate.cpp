@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "runtime/sync_system.h"
 
@@ -40,8 +41,9 @@ CertificateCheck replay_matches(const ExecutionTrace& trace,
     std::vector<Message> expected = pt.rounds[r].sent;
     for (const Message& m : pt.rounds[r].send_omitted) expected.push_back(m);
     std::sort(expected.begin(), expected.end());
-    std::vector<Message> produced = normalize_outbox(
-        replay.outboxes[r], p, static_cast<Round>(r + 1), trace.params.n);
+    std::vector<Message> produced =
+        normalize_outbox(std::move(replay.outboxes[r]), p,
+                         static_cast<Round>(r + 1), trace.params.n);
     std::sort(produced.begin(), produced.end());
     if (expected != produced) {
       std::ostringstream os;

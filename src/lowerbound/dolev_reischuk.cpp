@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "adversary/omission.h"
 #include "runtime/sync_system.h"
@@ -38,6 +39,12 @@ BroadcastAttackReport attack_broadcast(const SystemParams& params,
                                        const Value& v1, const Value& filler,
                                        Round max_rounds,
                                        const engine::ExecutionBackend& backend) {
+  if (!params.valid()) {
+    throw std::invalid_argument("attack_broadcast: invalid SystemParams");
+  }
+  if (sender >= params.n) {
+    throw std::invalid_argument("attack_broadcast: sender out of range");
+  }
   BroadcastAttackReport report;
   std::ostringstream log;
   RunOptions opts;

@@ -51,7 +51,8 @@ struct BroadcastAttackReport {
 /// distinct sender values to drive the indistinguishability pair;
 /// `filler` is the proposal of the non-sender processes (held fixed).
 /// `backend` evaluates the three constructed executions (the fault-free
-/// probe and the two cut runs); it must support traces.
+/// probe and the two cut runs); it must support traces. Throws
+/// std::invalid_argument unless `params` is valid and `sender` < n.
 BroadcastAttackReport attack_broadcast(
     const SystemParams& params, const ProtocolFactory& protocol,
     ProcessId sender, const Value& v0, const Value& v1,

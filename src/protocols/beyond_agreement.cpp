@@ -34,13 +34,8 @@ class ApproxAgreementProcess final : public DecidingProcess {
   }
 
   Outbox outbox_for_round(Round r) override {
-    Outbox out;
-    if (r > rounds_) return out;
-    const Value payload = tagged("aa", {Value{value_}});
-    for (ProcessId p = 0; p < params_.n; ++p) {
-      if (p != self_) out.push_back(Outgoing{p, payload});
-    }
-    return out;
+    if (r > rounds_) return {};
+    return multicast(params_.n, self_, tagged("aa", {Value{value_}}));
   }
 
   void deliver(Round r, const Inbox& inbox) override {
@@ -83,13 +78,8 @@ class KSetProcess final : public DecidingProcess {
         min_(ctx.proposal) {}
 
   Outbox outbox_for_round(Round r) override {
-    Outbox out;
-    if (r > rounds_) return out;
-    const Value payload = tagged("kset", {min_});
-    for (ProcessId p = 0; p < params_.n; ++p) {
-      if (p != self_) out.push_back(Outgoing{p, payload});
-    }
-    return out;
+    if (r > rounds_) return {};
+    return multicast(params_.n, self_, tagged("kset", {min_}));
   }
 
   void deliver(Round r, const Inbox& inbox) override {

@@ -16,13 +16,9 @@ class UnauthBroadcastProcess final : public DecidingProcess {
   Outbox outbox_for_round(Round r) override {
     if (r == 1) {
       if (ctx_.self != sender_) return {};
-      Outbox out;
-      const Value payload =
-          tagged("bb-init", {Value::bit(ctx_.proposal.try_bit().value_or(0))});
-      for (ProcessId p = 0; p < ctx_.params.n; ++p) {
-        if (p != sender_) out.push_back(Outgoing{p, payload});
-      }
-      return out;
+      return multicast(
+          ctx_.params.n, sender_,
+          tagged("bb-init", {Value::bit(ctx_.proposal.try_bit().value_or(0))}));
     }
     if (!consensus_) return {};
     return consensus_->outbox_for_round(r - 1);
@@ -69,18 +65,8 @@ class DirectBroadcastCandidate final : public DecidingProcess {
       : ctx_(ctx), sender_(sender) {}
 
   Outbox outbox_for_round(Round r) override {
-    Outbox out;
-    if (r == 1 && ctx_.self == sender_) {
-      // Built once, shared across receivers (COW payload: n - 1 refcount
-      // bumps, not n - 1 tagged-vector constructions).
-      const Value payload = tagged("bbd", {ctx_.proposal});
-      for (ProcessId p = 0; p < ctx_.params.n; ++p) {
-        if (p != sender_) {
-          out.push_back(Outgoing{p, payload});
-        }
-      }
-    }
-    return out;
+    if (r != 1 || ctx_.self != sender_) return {};
+    return multicast(ctx_.params.n, sender_, tagged("bbd", {ctx_.proposal}));
   }
 
   void deliver(Round r, const Inbox& inbox) override {
@@ -112,15 +98,11 @@ class RelayRingCandidate final : public DecidingProcess {
       : ctx_(ctx), sender_(sender), k_(std::min(k, ctx.params.n - 1)) {}
 
   Outbox outbox_for_round(Round r) override {
-    Outbox out;
     if (r == 1 && ctx_.self == sender_) {
-      const Value payload = tagged("bbr", {ctx_.proposal});
-      for (ProcessId p = 0; p < ctx_.params.n; ++p) {
-        if (p != sender_) {
-          out.push_back(Outgoing{p, payload});
-        }
-      }
-    } else if (r == 2 && seen_) {
+      return multicast(ctx_.params.n, sender_, tagged("bbr", {ctx_.proposal}));
+    }
+    Outbox out;
+    if (r == 2 && seen_) {
       const Value payload = tagged("bbr", {*seen_});
       for (std::uint32_t i = 1; i <= k_; ++i) {
         const ProcessId to = (ctx_.self + i) % ctx_.params.n;

@@ -2,8 +2,10 @@
 
 // Shared conventions for protocol payloads and decisions.
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "runtime/message.h"
 #include "runtime/process.h"
@@ -22,7 +24,7 @@ inline Value tagged(const std::string& tag, ValueVec fields) {
   return Value{std::move(v)};
 }
 
-inline bool has_tag(const Value& v, const std::string& tag) {
+inline bool has_tag(const Value& v, std::string_view tag) {
   return v.is_vec() && !v.as_vec().empty() && v.as_vec()[0].is_str() &&
          v.as_vec()[0].as_str() == tag;
 }
@@ -31,6 +33,25 @@ inline bool has_tag(const Value& v, const std::string& tag) {
 inline const Value* field(const Value& v, std::size_t i) {
   if (!v.is_vec() || v.as_vec().size() <= i + 1) return nullptr;
   return &v.as_vec()[i + 1];
+}
+
+/// Appends one message to every process but `self`, in ascending receiver
+/// order, all sharing `payload` (one refcount bump each, no deep copy). The
+/// appending form serves processes that build one outbox from several sends.
+inline void append_multicast(Outbox& out, std::uint32_t n, ProcessId self,
+                             const Value& payload) {
+  out.reserve(out.size() + (n > 0 ? n - 1 : 0));
+  for (ProcessId p = 0; p < n; ++p) {
+    if (p != self) out.push_back(Outgoing{p, payload});
+  }
+}
+
+/// The outbox that sends `payload` to every process but `self`: n - 1
+/// entries, reserved up front, ascending by receiver.
+inline Outbox multicast(std::uint32_t n, ProcessId self, const Value& payload) {
+  Outbox out;
+  append_multicast(out, n, self, payload);
+  return out;
 }
 
 /// The distinguished "no value" decision used by broadcast protocols when

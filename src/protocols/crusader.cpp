@@ -18,19 +18,15 @@ class CrusaderProcess final : public DecidingProcess {
         own_bit_(ctx.proposal.try_bit().value_or(0)) {}
 
   Outbox outbox_for_round(Round r) override {
-    Outbox out;
     if (r == 1 && self_ == sender_) {
-      const Value payload = tagged("cru-init", {Value::bit(own_bit_)});
-      for (ProcessId p = 0; p < params_.n; ++p) {
-        if (p != self_) out.push_back(Outgoing{p, payload});
-      }
-    } else if (r == 2 && received_.has_value()) {
-      const Value payload = tagged("cru-echo", {Value::bit(*received_)});
-      for (ProcessId p = 0; p < params_.n; ++p) {
-        if (p != self_) out.push_back(Outgoing{p, payload});
-      }
+      return multicast(params_.n, self_,
+                       tagged("cru-init", {Value::bit(own_bit_)}));
     }
-    return out;
+    if (r == 2 && received_.has_value()) {
+      return multicast(params_.n, self_,
+                       tagged("cru-echo", {Value::bit(*received_)}));
+    }
+    return {};
   }
 
   void deliver(Round r, const Inbox& inbox) override {

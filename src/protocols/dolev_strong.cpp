@@ -102,12 +102,7 @@ class DolevStrongProcess final : public DecidingProcess {
     for (std::uint32_t c : chains) {
       payload_fields.push_back(arena_.to_value(c));
     }
-    Value payload = tagged("ds", std::move(payload_fields));
-    Outbox out;
-    for (ProcessId p = 0; p < params_.n; ++p) {
-      if (p != self_) out.push_back(Outgoing{p, payload});
-    }
-    return out;
+    return multicast(params_.n, self_, tagged("ds", std::move(payload_fields)));
   }
 
   SystemParams params_;

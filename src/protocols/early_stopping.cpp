@@ -16,14 +16,10 @@ class FloodSetProcess : public DecidingProcess {
   }
 
   Outbox outbox_for_round(Round r) override {
-    Outbox out;
-    if (r > params_.t + 1) return out;
+    if (r > params_.t + 1) return {};
     ValueVec values(seen_.begin(), seen_.end());
-    const Value payload = tagged("flood", {Value{std::move(values)}});
-    for (ProcessId p = 0; p < params_.n; ++p) {
-      if (p != self_) out.push_back(Outgoing{p, payload});
-    }
-    return out;
+    return multicast(params_.n, self_,
+                     tagged("flood", {Value{std::move(values)}}));
   }
 
   void deliver(Round r, const Inbox& inbox) override {

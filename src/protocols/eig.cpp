@@ -489,12 +489,7 @@ class EigArenaProcess : public DecidingProcess {
                                     hasher.digest()));
     });
     if (reports.empty() && r > 1) return {};
-    Value payload = tagged("eig", std::move(reports));
-    Outbox out;
-    for (ProcessId p = 0; p < params_.n; ++p) {
-      if (p != self_) out.push_back(Outgoing{p, payload});
-    }
-    return out;
+    return multicast(params_.n, self_, tagged("eig", std::move(reports)));
   }
 
   void deliver(Round r, const Inbox& inbox) override {

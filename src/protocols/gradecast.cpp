@@ -34,14 +34,18 @@ class GradecastProcess final : public DecidingProcess {
     switch (r) {
       case 1:
         if (self_ == sender_) {
-          return multicast(tagged("gc-init", {proposal_}));
+          return multicast(params_.n, self_, tagged("gc-init", {proposal_}));
         }
         return {};
       case 2:
-        if (received_) return multicast(tagged("gc-echo", {*received_}));
+        if (received_) {
+          return multicast(params_.n, self_, tagged("gc-echo", {*received_}));
+        }
         return {};
       case 3:
-        if (backed_) return multicast(tagged("gc-vote", {*backed_}));
+        if (backed_) {
+          return multicast(params_.n, self_, tagged("gc-vote", {*backed_}));
+        }
         return {};
       default:
         return {};
@@ -103,15 +107,6 @@ class GradecastProcess final : public DecidingProcess {
   }
 
  private:
-  Outbox multicast(const Value& payload) const {
-    Outbox out;
-    out.reserve(params_.n);
-    for (ProcessId p = 0; p < params_.n; ++p) {
-      if (p != self_) out.push_back(Outgoing{p, payload});
-    }
-    return out;
-  }
-
   SystemParams params_;
   ProcessId self_;
   ProcessId sender_;

@@ -3,6 +3,7 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <string_view>
 
 #include "protocols/common.h"
 
@@ -20,15 +21,18 @@ class PhaseKingProcess final : public DecidingProcess {
     if (r > total_rounds()) return {};
     switch (subround(r)) {
       case 1:
-        return multicast(tagged("pk-val", {Value::bit(pref_)}));
+        return multicast(params_.n, self_,
+                         tagged("pk-val", {Value::bit(pref_)}));
       case 2:
         if (backed_.has_value()) {
-          return multicast(tagged("pk-prop", {Value::bit(*backed_)}));
+          return multicast(params_.n, self_,
+                           tagged("pk-prop", {Value::bit(*backed_)}));
         }
         return {};
       case 3:
         if (self_ == king(r)) {
-          return multicast(tagged("pk-king", {Value::bit(pref_)}));
+          return multicast(params_.n, self_,
+                           tagged("pk-king", {Value::bit(pref_)}));
         }
         return {};
       default:
@@ -97,16 +101,8 @@ class PhaseKingProcess final : public DecidingProcess {
     return static_cast<ProcessId>(((r - 1) / 3) % params_.n);
   }
 
-  Outbox multicast(const Value& payload) const {
-    Outbox out;
-    for (ProcessId p = 0; p < params_.n; ++p) {
-      if (p != self_) out.push_back(Outgoing{p, payload});
-    }
-    return out;
-  }
-
   static std::optional<int> parse_bit(const Value& payload,
-                                      const std::string& tag) {
+                                      std::string_view tag) {
     if (!has_tag(payload, tag)) return std::nullopt;
     const Value* v = field(payload, 0);
     if (!v) return std::nullopt;

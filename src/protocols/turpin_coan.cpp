@@ -15,9 +15,14 @@ class TurpinCoanProcess final : public DecidingProcess {
   explicit TurpinCoanProcess(const ProcessContext& ctx) : ctx_(ctx) {}
 
   Outbox outbox_for_round(Round r) override {
-    if (r == 1) return multicast(tagged("tc-val", {ctx_.proposal}));
+    const std::uint32_t n = ctx_.params.n;
+    if (r == 1) {
+      return multicast(n, ctx_.self, tagged("tc-val", {ctx_.proposal}));
+    }
     if (r == 2) {
-      if (candidate_) return multicast(tagged("tc-cand", {*candidate_}));
+      if (candidate_) {
+        return multicast(n, ctx_.self, tagged("tc-cand", {*candidate_}));
+      }
       return {};
     }
     if (!binary_) return {};
@@ -71,14 +76,6 @@ class TurpinCoanProcess final : public DecidingProcess {
   }
 
  private:
-  Outbox multicast(const Value& payload) const {
-    Outbox out;
-    for (ProcessId p = 0; p < ctx_.params.n; ++p) {
-      if (p != ctx_.self) out.push_back(Outgoing{p, payload});
-    }
-    return out;
-  }
-
   ProcessContext ctx_;
   std::optional<Value> candidate_;
   std::optional<Value> top_;

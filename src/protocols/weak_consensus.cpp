@@ -31,15 +31,8 @@ class LeaderBeaconCandidate final : public DecidingProcess {
         bit_(ctx.proposal.try_bit().value_or(0)) {}
 
   Outbox outbox_for_round(Round r) override {
-    Outbox out;
-    if (r == 1 && self_ == leader_) {
-      const Value payload = tagged("beacon", {Value::bit(bit_)});
-      for (ProcessId p = 0; p < params_.n; ++p) {
-        if (p == leader_) continue;
-        out.push_back(Outgoing{p, payload});
-      }
-    }
-    return out;
+    if (r != 1 || self_ != leader_) return {};
+    return multicast(params_.n, self_, tagged("beacon", {Value::bit(bit_)}));
   }
 
   void deliver(Round r, const Inbox& inbox) override {
@@ -117,16 +110,8 @@ class OneShotEchoCandidate final : public DecidingProcess {
         bit_(ctx.proposal.try_bit().value_or(1)) {}
 
   Outbox outbox_for_round(Round r) override {
-    Outbox out;
-    if (r == 1) {
-      const Value payload = tagged("echo", {Value::bit(bit_)});
-      for (ProcessId p = 0; p < params_.n; ++p) {
-        if (p != self_) {
-          out.push_back(Outgoing{p, payload});
-        }
-      }
-    }
-    return out;
+    if (r != 1) return {};
+    return multicast(params_.n, self_, tagged("echo", {Value::bit(bit_)}));
   }
 
   void deliver(Round r, const Inbox& inbox) override {

@@ -17,31 +17,36 @@ namespace {
 
 }  // namespace
 
-void normalize_outbox_into(const Outbox& out, ProcessId self, Round r,
+void normalize_outbox_into(Outbox out, ProcessId self, Round r,
                            std::uint32_t n, std::vector<std::uint8_t>& seen,
                            std::vector<Message>& msgs) {
   assert(seen.size() >= n);
   msgs.clear();
-  for (const Outgoing& o : out) {
+  msgs.reserve(out.size());
+  bool ascending = true;
+  for (Outgoing& o : out) {
     if (o.to == self || o.to >= n) continue;
     if (seen[o.to] != 0) continue;
     seen[o.to] = 1;
-    msgs.push_back(Message{self, o.to, r, o.payload});
+    if (!msgs.empty() && o.to < msgs.back().receiver) ascending = false;
+    msgs.push_back(Message{self, o.to, r, std::move(o.payload)});
   }
   // Restore the bitmap to all-zero by visiting only the receivers just
   // marked — cheaper than an O(n) wipe when outboxes are sparse.
   for (const Message& m : msgs) seen[m.receiver] = 0;
+  // Multicasts list their receivers in ascending order already.
+  if (ascending) return;
   std::sort(msgs.begin(), msgs.end(),
             [](const Message& a, const Message& b) {
               return a.receiver < b.receiver;
             });
 }
 
-std::vector<Message> normalize_outbox(const Outbox& out, ProcessId self,
-                                      Round r, std::uint32_t n) {
+std::vector<Message> normalize_outbox(Outbox out, ProcessId self, Round r,
+                                      std::uint32_t n) {
   std::vector<std::uint8_t> seen(n, 0);
   std::vector<Message> msgs;
-  normalize_outbox_into(out, self, r, n, seen, msgs);
+  normalize_outbox_into(std::move(out), self, r, n, seen, msgs);
   return msgs;
 }
 
@@ -133,41 +138,43 @@ RunResult run_execution(const SystemParams& params,
     // Phase 2: apply send omissions, route to inboxes, apply receive
     // omissions. The omission predicates are std::function indirections;
     // the scratch lookup tables let fault-free processes (the common case)
-    // skip them entirely.
+    // skip them entirely. Each message moves to exactly one place, its inbox
+    // or the omission list that records its loss; only the trace's `sent`
+    // takes a copy. A moved-from Message has a null payload, so nothing
+    // reads `m` after the move.
     for (ProcessId p = 0; p < n; ++p) {
       const bool correct_sender = scratch.faulty[p] == 0;
       const bool check_send = scratch.may_drop_send[p] != 0;
       for (Message& m : scratch.outs[p]) {
         if (check_send && adversary.send_omit(m.key())) {
-          if (tracing) scratch.events[p].send_omitted.push_back(m);
+          if (tracing) scratch.events[p].send_omitted.push_back(std::move(m));
           continue;
         }
         ++sent_this_round;
         ++result.messages_sent_total;
         if (correct_sender) ++result.messages_sent_by_correct;
         if (tracing) scratch.events[p].sent.push_back(m);
-        if (scratch.may_drop_receive[m.receiver] != 0 &&
+        const ProcessId to = m.receiver;
+        if (scratch.may_drop_receive[to] != 0 &&
             adversary.receive_omit(m.key())) {
           if (tracing) {
-            scratch.events[m.receiver].receive_omitted.push_back(m);
+            scratch.events[to].receive_omitted.push_back(std::move(m));
           }
           continue;
         }
-        scratch.inboxes[m.receiver].push_back(m);
+        scratch.inboxes[to].push_back(std::move(m));
       }
     }
 
     // Phase 3: deliver. Routing visits senders in ascending order and each
     // sender contributes at most one message per receiver, so every inbox is
     // already in canonical (sender-sorted) delivery order — no per-round
-    // sort.
+    // sort. Once delivered, the inbox itself becomes the trace's `received`.
     for (ProcessId p = 0; p < n; ++p) {
       Inbox& inbox = scratch.inboxes[p];
       assert(inbox_sorted_by_sender(inbox));
-      if (tracing) {
-        scratch.events[p].received = inbox;
-      }
       replicas[p]->deliver(r, inbox);
+      if (tracing) scratch.events[p].received = std::move(inbox);
       if (!result.decisions[p].has_value()) {
         if (auto d = replicas[p]->decision()) {
           result.decisions[p] = d;

@@ -97,15 +97,18 @@ ReplayResult replay_process(const SystemParams& params,
 
 /// Turns a raw outbox into well-formed round-`r` messages from `self`:
 /// drops self-sends and out-of-range receivers and keeps the first message
-/// per receiver (the model allows at most one, A.1.1). Sorted by receiver.
-std::vector<Message> normalize_outbox(const Outbox& out, ProcessId self,
-                                      Round r, std::uint32_t n);
+/// per receiver (the model allows at most one, A.1.1). Sorted by receiver;
+/// the sort runs only when the kept receivers are not already ascending.
+/// The outbox is taken by value: pass a temporary (or std::move it) and each
+/// payload moves into its Message with no refcount update.
+std::vector<Message> normalize_outbox(Outbox out, ProcessId self, Round r,
+                                      std::uint32_t n);
 
 /// Allocation-reusing form of `normalize_outbox`: writes the normalized
 /// messages into `msgs` (cleared first; capacity retained) and uses `seen`
 /// as the receiver-dedup bitmap instead of a per-call std::set. `seen` must
 /// be all-zero with size >= n on entry; it is restored to all-zero on exit.
-void normalize_outbox_into(const Outbox& out, ProcessId self, Round r,
+void normalize_outbox_into(Outbox out, ProcessId self, Round r,
                            std::uint32_t n, std::vector<std::uint8_t>& seen,
                            std::vector<Message>& msgs);
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "crypto/signature.h"
 #include "lowerbound/certificate.h"
@@ -87,6 +88,24 @@ TEST(DolevReischuk, NarrativeExplainsFailureOnRobustProtocols) {
   EXPECT_FALSE(report.violation_found);
   EXPECT_NE(report.narrative.find("not cuttable"), std::string::npos)
       << report.narrative;
+}
+
+TEST(DolevReischuk, RejectsInvalidParams) {
+  // n = 0 used to index proposals[sender] out of bounds before any check.
+  auto protocol = protocols::bb_candidate_direct(0);
+  for (const SystemParams& params : {SystemParams{0, 0}, SystemParams{4, 4}}) {
+    EXPECT_THROW(attack_broadcast(params, protocol, 0, Value::bit(0),
+                                  Value::bit(1)),
+                 std::invalid_argument)
+        << params.n << " " << params.t;
+  }
+}
+
+TEST(DolevReischuk, RejectsSenderOutOfRange) {
+  auto protocol = protocols::bb_candidate_direct(0);
+  EXPECT_THROW(attack_broadcast(SystemParams{4, 1}, protocol, 4,
+                                Value::bit(0), Value::bit(1)),
+               std::invalid_argument);
 }
 
 TEST(BroadcastCandidates, BehaveCorrectlyWithoutFaults) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "runtime/fault.h"
@@ -50,6 +53,53 @@ TEST(NormalizeOutbox, OutputSortedByReceiver) {
   const auto msgs = normalize_outbox(out, /*self=*/0, /*r=*/1, /*n=*/4);
   EXPECT_EQ(receivers(msgs), (std::vector<ProcessId>{1, 2, 3}));
   EXPECT_EQ(msgs[0].payload, Value{1});  // first occurrence, not "dup"
+}
+
+TEST(NormalizeOutbox, AscendingAndShuffledOutboxesAgree) {
+  // An ascending multicast skips the sort; the same sends shuffled, with a
+  // late duplicate, a self-send and out-of-range receivers mixed in, take
+  // it. Both normalize to the same messages.
+  const std::uint32_t n = 9;
+  const ProcessId self = 4;
+  Outbox ascending;
+  for (ProcessId p = 0; p < n; ++p) {
+    if (p != self) ascending.push_back({p, Value{std::int64_t{10} * p}});
+  }
+  Outbox shuffled = ascending;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937{17});
+  shuffled.push_back({2, Value{"late duplicate"}});
+  shuffled.insert(shuffled.begin() + 3, Outgoing{self, Value{"self"}});
+  shuffled.insert(shuffled.begin() + 1, Outgoing{n, Value{"oob"}});
+  shuffled.push_back({kNoProcess, Value{"oob"}});
+  const auto want = normalize_outbox(ascending, self, 5, n);
+  EXPECT_EQ(receivers(want),
+            (std::vector<ProcessId>{0, 1, 2, 3, 5, 6, 7, 8}));
+  EXPECT_EQ(normalize_outbox(shuffled, self, 5, n), want);
+}
+
+TEST(NormalizeOutbox, FirstMessageWinsWhenTheSortIsSkipped) {
+  // The kept receivers (1, 2, 3) ascend, so no sort runs; the duplicates,
+  // the self-send and the out-of-range receiver are still dropped.
+  const Outbox out{{1, Value{"first"}}, {1, Value{"second"}},
+                   {0, Value{"self"}},  {2, Value{"two"}},
+                   {2, Value{"dup"}},   {9, Value{"oob"}},
+                   {3, Value{"three"}}};
+  const auto msgs = normalize_outbox(out, /*self=*/0, /*r=*/1, /*n=*/4);
+  EXPECT_EQ(receivers(msgs), (std::vector<ProcessId>{1, 2, 3}));
+  EXPECT_EQ(msgs[0].payload, Value{"first"});
+  EXPECT_EQ(msgs[1].payload, Value{"two"});
+  EXPECT_EQ(msgs[2].payload, Value{"three"});
+}
+
+TEST(NormalizeOutbox, MovedInOutboxKeepsTheCallersPayloadObject) {
+  const Value payload = Value::vec({Value{"tag"}, Value{1}});
+  const Value text{"text"};
+  Outbox out{{3, payload}, {1, text}, {2, payload}};
+  const auto msgs = normalize_outbox(std::move(out), /*self=*/0, 1, 4);
+  ASSERT_EQ(receivers(msgs), (std::vector<ProcessId>{1, 2, 3}));
+  EXPECT_TRUE(msgs[0].payload.shares_rep_with(text));
+  EXPECT_TRUE(msgs[1].payload.shares_rep_with(payload));
+  EXPECT_TRUE(msgs[2].payload.shares_rep_with(payload));
 }
 
 TEST(NormalizeOutbox, EmptyOutbox) {

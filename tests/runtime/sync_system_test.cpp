@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "adversary/omission.h"
 #include "protocols/common.h"
 
@@ -145,6 +147,39 @@ TEST(SyncSystem, SelfMessagesAndDuplicatesDropped) {
   // p1 receives exactly one message from p0 and one from p2 (the first per
   // sender), nothing else.
   EXPECT_EQ(res.decisions[1]->as_int(), 2);
+  EXPECT_EQ(res.trace.validate(), std::nullopt);
+}
+
+TEST(SyncSystem, RoutingKeepsEachSendersPayloadObject) {
+  // Routing moves a payload from outbox to inbox (or to the omission list
+  // that records its loss) and the trace's `sent` shares it: every recorded
+  // copy is the object the sender put in its outbox, never a deep copy.
+  SystemParams params{4, 1};
+  std::vector<Value> proposals;
+  for (int p = 0; p < 4; ++p) proposals.emplace_back("v" + std::to_string(p));
+  Adversary adv;
+  adv.faulty = ProcessSet{{1}};
+  adv.send_omit = [](const MsgKey& k) {
+    return k.sender == 1 && k.receiver == 2;
+  };
+  adv.receive_omit = [](const MsgKey& k) {
+    return k.sender == 0 && k.receiver == 1;
+  };
+  RunResult res = run_execution(params, echo_count(), proposals, adv);
+  std::size_t checked = 0;
+  for (const ProcessTrace& pt : res.trace.procs) {
+    const RoundEvents& re = pt.rounds.at(0);
+    for (const auto* list : {&re.sent, &re.send_omitted, &re.received,
+                             &re.receive_omitted}) {
+      for (const Message& m : *list) {
+        EXPECT_TRUE(m.payload.shares_rep_with(proposals[m.sender]))
+            << m.sender << "->" << m.receiver;
+        ++checked;
+      }
+    }
+  }
+  // 11 sent + 1 send-omitted + 10 received + 1 receive-omitted.
+  EXPECT_EQ(checked, 23u);
   EXPECT_EQ(res.trace.validate(), std::nullopt);
 }
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/ba.h"
+#include "crypto/siphash.h"
 #include "lowerbound/certificate_io.h"
 #include "runtime/trace_io.h"
 #include "trace_codec_oracle.h"
@@ -125,6 +126,38 @@ TEST(TraceCodecGolden, TraceBytesAndDecodesMatchTheOracle) {
     EXPECT_TRUE(same_trace(*got, g.trace)) << g.label;
     EXPECT_EQ(got_prov, want_prov) << g.label;
     EXPECT_EQ(encode(*got, got_prov), bytes) << g.label;
+  }
+}
+
+// The differential tests compare two codecs over whatever the executor
+// recorded, so a routing change that altered a trace would still pass them.
+// This pins the recorded traces themselves: the byte length and a fixed-key
+// SipHash-2-4 digest of each golden trace's encoding.
+TEST(TraceCodecGolden, RecordedTraceBytesArePinned) {
+  struct Pin {
+    std::string label;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  const std::vector<Pin> pins = {
+      {"ds32 isolate:2", 419158, 0x65ea1d91b26f558fULL},
+      {"pk16 isolate:2", 336608, 0x610869e5f7125a99ULL},
+      {"eig10 crash:1@2", 589057, 0x2c250e1966084558ULL},
+      {"ds32 fault-free", 419140, 0xa61205d652b89c1eULL},
+      {"pk16 fault-free", 355490, 0x84ca45df1b76e615ULL},
+      {"eig10 fault-free", 680470, 0x254cd3faab0243bbULL},
+      {"pk7 sim v2", 30539, 0xe06c64a96db650aeULL},
+  };
+  const crypto::SipKey key{0x7472616365706e31ULL, 0x676f6c64656e2121ULL};
+  ASSERT_EQ(golden_set().size(), pins.size());
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    const Golden& g = golden_set()[i];
+    const Bytes bytes = encode(g.trace, g.provenance.value_or(Value::null()));
+    EXPECT_EQ(g.label, pins[i].label);
+    EXPECT_EQ(bytes.size(), pins[i].size) << g.label;
+    EXPECT_EQ(crypto::siphash24(key, bytes), pins[i].digest)
+        << g.label << std::hex << " digest 0x"
+        << crypto::siphash24(key, bytes);
   }
 }
 

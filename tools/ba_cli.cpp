@@ -182,7 +182,7 @@ int cmd_dr_attack(int argc, char** argv) {
   if (!cli::parse(cmd, argc, argv)) return 2;
   const std::uint32_t n = n_arg.value_or(12);
   const std::uint32_t t = t_arg.value_or(n / 2);
-  // Checked here: attack_broadcast crashes at n = 0 instead of refusing it.
+  // Checked here too, so a bad (n, t) gets the CLI's own message and exit 2.
   if (!SystemParams{n, t}.valid()) return fail(2, "dr-attack: want t < n");
   ProtocolFactory protocol;
   if (name == "direct") {
@@ -702,6 +702,10 @@ int cmd_explore(int argc, char** argv) {
   async::AsyncRunResult rep;
   try {
     report = async::explore(task, options);
+  } catch (const std::exception& e) {
+    return fail(2, e.what());  // async::explore prefixes its own errors
+  }
+  try {
     rep = async::replay_certificate(probe, ropts);
   } catch (const std::exception& e) {
     return fail(2, std::string("explore: ") + e.what());
