@@ -311,11 +311,7 @@ class Linter {
         report_.truncated = true;
         return;
       }
-      std::vector<Inbox> inboxes;
-      inboxes.reserve(pt.rounds.size());
-      for (const RoundEvents& re : pt.rounds) inboxes.push_back(re.received);
-      ReplayResult replay =
-          replay_process(trace_.params, protocol, p, pt.proposal, inboxes);
+      ReplayResult replay = replay_process(trace_.params, protocol, p, pt);
       report_.stats.processes_replayed++;
 
       for (std::size_t i = 0; i < pt.rounds.size(); ++i) {

@@ -186,56 +186,38 @@ Value ChainArena::to_value(std::uint32_t node) const {
   return Value{std::move(out)};
 }
 
-std::vector<ChainArena::Accepted> ChainArena::verify_batch(
-    std::span<const Value* const> chains, std::size_t min_len,
-    std::optional<ProcessId> expected_first) {
-  std::vector<Accepted> out;
-  for (const Value* cv : chains) {
-    // SigChain::from_value's parse rules, without materializing a SigChain.
-    if (!cv->is_vec()) continue;
-    const ValueVec& vec = cv->as_vec();
-    if (vec.size() < 2 || !vec[0].is_str() || vec[0].as_str() != "chain") {
-      continue;
-    }
-    sig_buf_.clear();
-    bool ok = true;
-    for (std::size_t i = 2; i < vec.size(); ++i) {
-      auto sig = Signature::from_value(vec[i]);
-      if (!sig) {
-        ok = false;
-        break;
-      }
-      sig_buf_.push_back(*sig);
-    }
-    if (!ok) continue;
-    // SigChain::verify's acceptance rules: length, expected first signer,
-    // distinct signers, every MAC valid over its prefix.
-    if (sig_buf_.size() < min_len) continue;
-    if (expected_first &&
-        (sig_buf_.empty() || sig_buf_[0].signer != *expected_first)) {
-      continue;
-    }
-    for (std::size_t i = 1; i < sig_buf_.size() && ok; ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        if (sig_buf_[j].signer == sig_buf_[i].signer) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (!ok) continue;
-    std::uint32_t node = root(vec[1]);
-    for (const Signature& sig : sig_buf_) {
-      node = append(node, sig);
-      if (!nodes_[node].mac_ok) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    out.push_back(Accepted{node, vec[1]});
+std::uint32_t ChainArena::verify(const Value& chain, std::size_t min_len,
+                                 std::optional<ProcessId> expected_first) {
+  // SigChain::from_value's parse rules, without materializing a SigChain.
+  if (!chain.is_vec()) return kNoNode;
+  const ValueVec& vec = chain.as_vec();
+  if (vec.size() < 2 || !vec[0].is_str() || vec[0].as_str() != "chain") {
+    return kNoNode;
   }
-  return out;
+  sig_buf_.clear();
+  for (std::size_t i = 2; i < vec.size(); ++i) {
+    auto sig = Signature::from_value(vec[i]);
+    if (!sig) return kNoNode;
+    sig_buf_.push_back(*sig);
+  }
+  // SigChain::verify's acceptance rules: length, expected first signer,
+  // distinct signers, every MAC valid over its prefix.
+  if (sig_buf_.size() < min_len) return kNoNode;
+  if (expected_first &&
+      (sig_buf_.empty() || sig_buf_[0].signer != *expected_first)) {
+    return kNoNode;
+  }
+  for (std::size_t i = 1; i < sig_buf_.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (sig_buf_[j].signer == sig_buf_[i].signer) return kNoNode;
+    }
+  }
+  std::uint32_t node = root(vec[1]);
+  for (const Signature& sig : sig_buf_) {
+    node = append(node, sig);
+    if (!nodes_[node].mac_ok) return kNoNode;
+  }
+  return node;
 }
 
 }  // namespace ba::crypto

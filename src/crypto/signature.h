@@ -18,7 +18,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -116,11 +115,11 @@ class SigChain {
 /// scratch, and each node's MAC is checked at most once per run. A relayed
 /// chain that extends an already-verified prefix therefore costs one MAC
 /// instead of the O(length) MACs over O(length^2) rebuilt bytes that
-/// `SigChain::verify` pays — `verify_batch` checks a whole round's inbox in
-/// one pass against the arena. Acceptance is exactly
-/// `SigChain::from_value` + `SigChain::verify` (pinned by
-/// tests/crypto/chain_arena_test.cpp), and `to_value` reproduces the seed
-/// chain encoding byte-for-byte, so wire payloads and traces are unchanged.
+/// `SigChain::verify` pays. `verify` checks one received chain against the
+/// arena; acceptance is exactly `SigChain::from_value` + `SigChain::verify`
+/// (pinned by tests/crypto/chain_arena_test.cpp), and `to_value` reproduces
+/// the seed chain encoding byte-for-byte, so wire payloads and traces are
+/// unchanged.
 ///
 /// Memory is O(bytes of distinct, genuinely signed chain material seen in
 /// the run): invalid chains add at most one (cached-negative) node beyond
@@ -152,20 +151,13 @@ class ChainArena {
   /// The seed `SigChain::to_value` encoding: ["chain", value, sigs...].
   [[nodiscard]] Value to_value(std::uint32_t node) const;
 
-  struct Accepted {
-    std::uint32_t node{kNoNode};
-    Value value;
-  };
-
-  /// One-pass verification of a round's worth of chain payload fields.
-  /// Each element is screened with `SigChain::from_value`'s parse rules and
-  /// `SigChain::verify(auth, min_len, expected_first)`'s acceptance rules;
-  /// the accepted chains come back in input order. MAC checks hit the
-  /// arena's verified-prefix memo, so only signatures never seen before are
-  /// actually hashed.
-  std::vector<Accepted> verify_batch(std::span<const Value* const> chains,
-                                     std::size_t min_len,
-                                     std::optional<ProcessId> expected_first);
+  /// Checks one chain payload field with `SigChain::from_value`'s parse
+  /// rules and `SigChain::verify(auth, min_len, expected_first)`'s
+  /// acceptance rules, and returns the accepted chain's node, or kNoNode.
+  /// MAC checks hit the arena's verified-prefix memo, so only signatures
+  /// never seen before are actually hashed.
+  std::uint32_t verify(const Value& chain, std::size_t min_len,
+                       std::optional<ProcessId> expected_first);
 
  private:
   struct Node {
@@ -202,7 +194,7 @@ class ChainArena {
   std::vector<Value> roots_;
   std::map<Value, std::uint32_t> root_ids_;
   std::unordered_map<ChildKey, std::uint32_t, ChildKeyHash> child_ids_;
-  std::vector<Signature> sig_buf_;  // scratch for verify_batch parses
+  std::vector<Signature> sig_buf_;  // scratch for verify parses
 };
 
 }  // namespace ba::crypto

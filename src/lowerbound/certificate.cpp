@@ -30,12 +30,7 @@ CertificateCheck replay_matches(const ExecutionTrace& trace,
                                 ProcessId p) {
   CertificateCheck out;
   const ProcessTrace& pt = trace.procs.at(p);
-  std::vector<Inbox> inboxes;
-  inboxes.reserve(pt.rounds.size());
-  for (const RoundEvents& re : pt.rounds) inboxes.push_back(re.received);
-
-  ReplayResult replay =
-      replay_process(trace.params, protocol, p, pt.proposal, inboxes);
+  ReplayResult replay = replay_process(trace.params, protocol, p, pt);
 
   for (std::size_t r = 0; r < pt.rounds.size(); ++r) {
     std::vector<Message> expected = pt.rounds[r].sent;

@@ -59,29 +59,10 @@ class DolevStrongProcess final : public DecidingProcess {
   void deliver(Round r, const Inbox& inbox) override {
     pending_relay_.clear();
     if (r <= last_round()) {
-      // Batch-verify the round's inbox in one arena pass: chains accepted
-      // at the end of round r carry >= r distinct signatures, the first
-      // being the designated sender's. Relayed chains share their verified
-      // prefix with chains checked in earlier rounds, so only the
-      // signatures this round added are actually MAC-checked.
-      chain_fields_.clear();
       for (const Message& m : inbox) {
         if (!has_tag(m.payload, "ds")) continue;
         const ValueVec& fields = m.payload.as_vec();
-        for (std::size_t i = 1; i < fields.size(); ++i) {
-          chain_fields_.push_back(&fields[i]);
-        }
-      }
-      for (const crypto::ChainArena::Accepted& acc :
-           arena_.verify_batch(chain_fields_, r, sender_)) {
-        auto v = unwrap_value(acc.value, instance_);
-        if (!v) continue;
-        if (extracted_.contains(*v)) continue;
-        if (extracted_.size() >= 2) continue;  // two values prove equivocation
-        extracted_.insert(*v);
-        if (r < last_round() && !arena_.contains_signer(acc.node, self_)) {
-          pending_relay_.push_back(arena_.extend(acc.node, signer_));
-        }
+        for (std::size_t i = 1; i < fields.size(); ++i) ingest(fields[i], r);
       }
     }
     if (r == last_round()) {
@@ -95,6 +76,30 @@ class DolevStrongProcess final : public DecidingProcess {
 
  private:
   [[nodiscard]] Round last_round() const { return params_.t + 1; }
+
+  /// Takes one received chain. Only a chain whose value is new to this
+  /// process can change its state, so the endorsed value is read before any
+  /// signature is parsed or MAC-checked, and a chain for a value already
+  /// extracted (or after two values) is dropped unverified. The outcome is
+  /// the seed's verify-then-extract rule: the checks skipped are pure, and
+  /// chains are still taken one at a time in inbox order.
+  void ingest(const Value& chain, Round r) {
+    if (!chain.is_vec() || chain.as_vec().size() < 2) return;
+    auto v = unwrap_value(chain.as_vec()[1], instance_);
+    if (!v) return;
+    if (extracted_.contains(*v)) return;
+    if (extracted_.size() >= 2) return;  // two values prove equivocation
+    // A chain accepted at the end of round r carries >= r distinct
+    // signatures, the first being the designated sender's. Relayed chains
+    // share their verified prefix with chains checked in earlier rounds, so
+    // only the signatures this round added are actually MAC-checked.
+    const std::uint32_t node = arena_.verify(chain, r, sender_);
+    if (node == crypto::ChainArena::kNoNode) return;
+    extracted_.insert(*v);
+    if (r < last_round() && !arena_.contains_signer(node, self_)) {
+      pending_relay_.push_back(arena_.extend(node, signer_));
+    }
+  }
 
   Outbox chains_to_all(const std::vector<std::uint32_t>& chains) {
     ValueVec payload_fields;
@@ -116,7 +121,6 @@ class DolevStrongProcess final : public DecidingProcess {
 
   std::set<Value> extracted_;
   std::vector<std::uint32_t> pending_relay_;  // arena chain ids
-  std::vector<const Value*> chain_fields_;    // scratch, inbox order
 };
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/siphash.h"
 #include "protocols/common.h"
 
 namespace ba::protocols {
@@ -197,21 +196,15 @@ class EigReferenceStrongProcess final : public EigReferenceProcess {
 // sweep instead of a recursive walk over heap labels.
 //
 // Wire payloads keep the seed encoding. Report Values are built through a
-// factory-shared ReportCache keyed by (level, path id, value) and hashed by
-// an *incremental* SipHash path digest (crypto::SipHasher): the walker
-// extends a parent prefix digest by one digit per child instead of
-// re-hashing whole paths. Because equal (label, value) reports are shared
-// across every sender that relays them, a fault-free round's payload set
-// costs one allocation per distinct report instead of one per (sender ×
+// factory-shared ReportCache keyed by (n, level, dense path id, value),
+// which names a report exactly. Because equal (label, value) reports are
+// shared across every sender that relays them, a fault-free round's payload
+// set costs one allocation per distinct report instead of one per (sender ×
 // report) — the difference between ~2 GB and tens of MB at n = 64.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint32_t kAbsentId = 0xffffffffu;
 constexpr std::uint32_t kNullId = 0;  // values_[0] is always Value::null()
-
-/// Fixed key for path digests (only used as a hash; equality is on ids).
-constexpr crypto::SipKey kPathKey{0x6569672d70617468ULL,  // "eig-path"
-                                  0x2d6172656e613a31ULL};
 
 /// Vote tally for one level-t parent: inline slots for the two most common
 /// vote values (fault-free rounds never need more: the honest value and
@@ -224,7 +217,9 @@ struct Tally {
 };
 
 /// Factory-shared, thread-safe cache of report Values keyed by
-/// (level, path id, value). Sharing across the processes of a run means
+/// (n, level, path id, value). One factory serves runs of any size, and a
+/// dense path id names a label only together with n, so n is part of the
+/// key. Sharing across the processes of a run means
 /// every relay of the same (label, value) report reuses one immutable
 /// payload allocation (COW Values make that semantically invisible), which
 /// is what keeps n = 128 runs inside a laptop's memory instead of O(n) times
@@ -234,13 +229,17 @@ class ReportCache {
  public:
   ReportCache() { slots_.resize(1u << 12); }
 
-  Value get(std::uint32_t level, std::uint64_t id, const Value& value,
-            std::span<const ProcessId> digits, std::uint64_t path_digest) {
-    std::uint64_t h = path_digest ^ (value.hash() * 0x9e3779b97f4a7c15ULL);
+  /// The report ([digits], value) for the level-`level` node `id` of an
+  /// n-process tree; `digits` is that node's label.
+  Value get(std::uint32_t n, std::uint32_t level, std::uint64_t id,
+            const Value& value, std::span<const ProcessId> digits) {
+    std::uint64_t h =
+        mix(id ^ mix((std::uint64_t{n} << 32) | level)) ^
+        (value.hash() * 0x9e3779b97f4a7c15ULL);
     if (h == 0) h = 0x517cc1b727220a95ULL;  // 0 marks an empty slot
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      Entry* e = probe(h, level, id, value);
+      Entry* e = probe(h, n, level, id, value);
       if (e->hash != 0) return e->report;
     }
     ValueVec label_elems;
@@ -252,10 +251,11 @@ class ReportCache {
     const std::lock_guard<std::mutex> lock(mu_);
     // Re-probe: the table may have grown (or the entry appeared) while the
     // report was being built outside the lock.
-    Entry* e = probe(h, level, id, value);
+    Entry* e = probe(h, n, level, id, value);
     if (e->hash != 0) return e->report;
     if (used_ >= kMaxEntries) return report;  // full: hand out unshared
     e->hash = h;
+    e->n = n;
     e->level = level;
     e->id = id;
     e->value = value;
@@ -272,6 +272,7 @@ class ReportCache {
   struct Entry {
     std::uint64_t hash{0};  // 0 = empty
     std::uint64_t id{0};
+    std::uint32_t n{0};
     std::uint32_t level{0};
     Value value;
     Value report;
@@ -279,14 +280,21 @@ class ReportCache {
 
   static constexpr std::size_t kMaxEntries = 1u << 20;
 
-  Entry* probe(std::uint64_t h, std::uint32_t level, std::uint64_t id,
-               const Value& value) {
+  /// splitmix64's finalizer: spreads the key fields over the probe bits.
+  static std::uint64_t mix(std::uint64_t x) {
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+
+  Entry* probe(std::uint64_t h, std::uint32_t n, std::uint32_t level,
+               std::uint64_t id, const Value& value) {
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = static_cast<std::size_t>(h) & mask;
     while (true) {
       Entry& e = slots_[i];
-      if (e.hash == 0 ||
-          (e.hash == h && e.level == level && e.id == id && e.value == value)) {
+      if (e.hash == 0 || (e.hash == h && e.n == n && e.level == level &&
+                          e.id == id && e.value == value)) {
         return &e;
       }
       i = (i + 1) & mask;
@@ -481,12 +489,14 @@ class EigArenaProcess : public DecidingProcess {
 
   Outbox outbox_for_round(Round r) override {
     if (r > params_.t + 1) return {};
-    ValueVec reports;
-    walk_level(r - 1, [&](std::uint64_t id, std::uint32_t vid,
-                          std::span<const ProcessId> digits,
-                          const crypto::SipHasher& hasher) {
-      reports.push_back(cache_->get(r - 1, id, values_[vid], digits,
-                                    hasher.digest()));
+    const std::uint32_t level = static_cast<std::uint32_t>(r) - 1;
+    ValueVec reports;  // moved into the payload by tagged(), then freed
+    reports.reserve(static_cast<std::size_t>(
+        eig_paths::level_size(params_.n, level)));
+    walk_level(level, [&](std::uint64_t id, std::uint32_t vid,
+                          std::span<const ProcessId> digits) {
+      reports.push_back(
+          cache_->get(params_.n, level, id, values_[vid], digits));
     });
     if (reports.empty() && r > 1) return {};
     return multicast(params_.n, self_, tagged("eig", std::move(reports)));
@@ -497,8 +507,7 @@ class EigArenaProcess : public DecidingProcess {
     // Self-delivery first (the seed's order): every level-(r-1) node this
     // process just broadcast gains the child label·self.
     walk_level(r - 1, [&](std::uint64_t id, std::uint32_t vid,
-                          std::span<const ProcessId> /*digits*/,
-                          const crypto::SipHasher& /*hasher*/) {
+                          std::span<const ProcessId> /*digits*/) {
       ingest_id(id, r - 1, self_, vid);
     });
     const std::uint32_t n = params_.n;
@@ -688,21 +697,16 @@ class EigArenaProcess : public DecidingProcess {
 
   /// Visits every stored level-L node whose label avoids self, in ascending
   /// dense-id order (== the seed map's lexicographic label order). The
-  /// callback receives the node's id, interned value, digits, and an
-  /// incremental SipHash over the digit path — each child's digest extends a
-  /// snapshot of its parent's hasher by one u32 instead of re-hashing the
-  /// whole path.
+  /// callback receives the node's id, interned value and digits.
   template <typename F>
   void walk_level(std::uint32_t level, F&& f) {
-    crypto::SipHasher root(kPathKey);
     if (level == 0) {
-      f(eig_paths::kRootId, proposal_id_, std::span<const ProcessId>{}, root);
+      f(eig_paths::kRootId, proposal_id_, std::span<const ProcessId>{});
       return;
     }
     if (level > stored_max_) return;
     const std::uint32_t n = params_.n;
     walk_digits_.resize(level);
-    walk_hashers_.assign(level + 1, root);
     const std::vector<std::uint32_t>& slots = levels_[level];
     // Iterative DFS over digit prefixes; subtrees rooted at digit == self
     // are pruned whole (every descendant label contains self).
@@ -715,13 +719,9 @@ class EigArenaProcess : public DecidingProcess {
           const std::uint32_t vid = slots[static_cast<std::size_t>(cid)];
           if (vid == kAbsentId) continue;
           walk_digits_[depth] = j;
-          crypto::SipHasher h = walk_hashers_[depth];
-          h.absorb_u32(j);
-          f(cid, vid, std::span<const ProcessId>(walk_digits_), h);
+          f(cid, vid, std::span<const ProcessId>(walk_digits_));
         } else {
           walk_digits_[depth] = j;
-          walk_hashers_[depth + 1] = walk_hashers_[depth];
-          walk_hashers_[depth + 1].absorb_u32(j);
           self_fn(depth + 1, cid, self_fn);
         }
       }
@@ -836,7 +836,6 @@ class EigArenaProcess : public DecidingProcess {
 
   // Scratch reused across walks/decides (no steady-state allocation).
   std::vector<ProcessId> walk_digits_;
-  std::vector<crypto::SipHasher> walk_hashers_;
   std::vector<std::uint8_t> in_label_;
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
       resolve_counts_buf_;  // per recursion depth, reused

@@ -227,19 +227,28 @@ RunResult run_all_correct(const SystemParams& params,
 
 ReplayResult replay_process(const SystemParams& params,
                             const ProtocolFactory& protocol, ProcessId p,
-                            const Value& proposal,
-                            const std::vector<Inbox>& inboxes) {
-  ProcessContext ctx{params, p, proposal};
+                            const ProcessTrace& history) {
+  ProcessContext ctx{params, p, history.proposal};
   std::unique_ptr<Process> replica = protocol(ctx);
   ReplayResult result;
-  result.outboxes.reserve(inboxes.size());
-  Inbox inbox;  // reused across rounds; assign() keeps the capacity
-  for (std::size_t r = 0; r < inboxes.size(); ++r) {
+  result.outboxes.reserve(history.rounds.size());
+  Inbox sorted;  // only for inboxes recorded out of sender order
+  for (std::size_t r = 0; r < history.rounds.size(); ++r) {
     const Round round = static_cast<Round>(r + 1);
     result.outboxes.push_back(replica->outbox_for_round(round));
-    inbox.assign(inboxes[r].begin(), inboxes[r].end());
-    sort_inbox(inbox);
-    replica->deliver(round, inbox);
+    const Inbox& recorded = history.rounds[r].received;
+    const bool in_order =
+        std::adjacent_find(recorded.begin(), recorded.end(),
+                           [](const Message& a, const Message& b) {
+                             return a.sender >= b.sender;
+                           }) == recorded.end();
+    if (in_order) {
+      replica->deliver(round, recorded);
+    } else {
+      sorted = recorded;
+      sort_inbox(sorted);
+      replica->deliver(round, sorted);
+    }
     if (!result.decision.has_value()) {
       if (auto d = replica->decision()) {
         result.decision = d;

@@ -79,11 +79,14 @@ RunResult run_all_correct(const SystemParams& params,
                           const ProtocolFactory& protocol, const Value& v,
                           const RunOptions& options = {});
 
-/// Replays process `p`'s deterministic state machine against a fixed receive
-/// history (one inbox per round, each sorted by sender) and returns the
-/// outboxes it produces per round plus its decision. This is the
-// "determinism" device used throughout Appendix A: identical receive
-/// histories force identical behaviour.
+/// Replays process `p`'s deterministic state machine against the receive
+/// history recorded in `history` (its proposal and each round's `received`
+/// inbox) and returns the outboxes it produces per round plus its decision.
+/// This is the "determinism" device used throughout Appendix A: identical
+/// receive histories force identical behaviour. Inboxes are delivered in
+/// sender order: a recorded inbox already in strictly ascending sender order
+/// (as the executors record them) is delivered in place, any other is
+/// sorted in a copy first.
 struct ReplayResult {
   std::vector<Outbox> outboxes;  // outboxes[r - 1] = sends in round r
   std::optional<Value> decision;
@@ -92,8 +95,7 @@ struct ReplayResult {
 };
 ReplayResult replay_process(const SystemParams& params,
                             const ProtocolFactory& protocol, ProcessId p,
-                            const Value& proposal,
-                            const std::vector<Inbox>& inboxes);
+                            const ProcessTrace& history);
 
 /// Turns a raw outbox into well-formed round-`r` messages from `self`:
 /// drops self-sends and out-of-range receivers and keeps the first message
@@ -115,8 +117,8 @@ void normalize_outbox_into(Outbox out, ProcessId self, Round r,
 /// Sorts an inbox by sender (the canonical delivery order). The lockstep
 /// executor's routing produces sorted inboxes by construction (and only
 /// asserts); this is for callers that assemble inboxes in arbitrary order —
-/// `replay_process`, the execution calculus, and the simulator's
-/// jitter-dependent arrival path.
+/// `replay_process` (for an inbox recorded out of order), the execution
+/// calculus, and the simulator's jitter-dependent arrival path.
 void sort_inbox(Inbox& inbox);
 
 /// Per-run scratch space for the executor's round loop: outbox/inbox

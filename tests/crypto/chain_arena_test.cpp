@@ -1,5 +1,5 @@
 // Pins ChainArena (the arena-backed Dolev-Strong chain store) to the seed
-// SigChain semantics: verify_batch accepts exactly the Values that
+// SigChain semantics: verify accepts exactly the Values that
 // SigChain::from_value + SigChain::verify accept, and to_value reproduces the
 // seed encoding byte-for-byte. Also exercises the arena-specific contracts:
 // node deduplication, incremental prefix bytes, and cached-negative MACs.
@@ -47,29 +47,24 @@ Value seed_chain(const std::shared_ptr<const Authenticator>& auth,
   return chain.to_value();
 }
 
+// Verifies every candidate in order, one `verify` call each, against one
+// arena, so later candidates hit the prefixes and cached negatives earlier
+// ones left behind.
 void expect_parity(ChainArena& arena, const Authenticator& auth,
                    const std::vector<Value>& candidates, std::size_t min_len,
                    std::optional<ProcessId> first, const std::string& where) {
-  std::vector<const Value*> ptrs;
-  ptrs.reserve(candidates.size());
-  for (const Value& v : candidates) ptrs.push_back(&v);
-  const std::vector<ChainArena::Accepted> got =
-      arena.verify_batch(ptrs, min_len, first);
-
-  std::vector<std::size_t> want;  // indices the seed path accepts, in order
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (seed_accepts(auth, candidates[i], min_len, first)) want.push_back(i);
-  }
-  ASSERT_EQ(got.size(), want.size()) << where;
-  for (std::size_t k = 0; k < want.size(); ++k) {
-    const auto chain = SigChain::from_value(candidates[want[k]]);
+    const std::uint32_t node = arena.verify(candidates[i], min_len, first);
+    const bool want = seed_accepts(auth, candidates[i], min_len, first);
+    ASSERT_EQ(node != ChainArena::kNoNode, want) << where << " #" << i;
+    if (!want) continue;
+    const auto chain = SigChain::from_value(candidates[i]);
     ASSERT_TRUE(chain.has_value()) << where;
-    EXPECT_EQ(got[k].value, chain->value()) << where << " accepted #" << k;
+    EXPECT_EQ(arena.value_of(node), chain->value()) << where << " #" << i;
     // Round-trip: the arena re-encodes the accepted node byte-identically.
-    EXPECT_EQ(encode_value(arena.to_value(got[k].node)),
-              encode_value(candidates[want[k]]))
-        << where << " accepted #" << k;
-    EXPECT_EQ(arena.length(got[k].node), chain->length()) << where;
+    EXPECT_EQ(encode_value(arena.to_value(node)), encode_value(candidates[i]))
+        << where << " #" << i;
+    EXPECT_EQ(arena.length(node), chain->length()) << where;
   }
 }
 
@@ -140,10 +135,13 @@ TEST(ChainArena, RejectsMalformedAndForged) {
   candidates.push_back(seed_chain(auth, payload, {0, 3}));
 
   expect_parity(arena, *auth, candidates, 1, ProcessId{0}, "malformed grid");
-  // Everything except the control row must have been rejected.
-  std::vector<const Value*> ptrs;
-  for (const Value& v : candidates) ptrs.push_back(&v);
-  EXPECT_EQ(arena.verify_batch(ptrs, 1, ProcessId{0}).size(), 1u);
+  // Everything except the control row (the last) must have been rejected.
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(arena.verify(candidates[i], 1, ProcessId{0}) !=
+                  ChainArena::kNoNode,
+              i + 1 == candidates.size())
+        << "#" << i;
+  }
 }
 
 TEST(ChainArena, ExtendMatchesSeedEncodingAndDeduplicates) {
@@ -171,8 +169,9 @@ TEST(ChainArena, ExtendMatchesSeedEncodingAndDeduplicates) {
 }
 
 // Re-verifying the same (or extended) chains must hit the memo: acceptance
-// stays identical across repeated batches, and chains that share a prefix
-// with already-verified material are still accepted/rejected correctly.
+// and the accepted nodes stay identical across repeated passes, and chains
+// that share a prefix with already-verified material are still
+// accepted/rejected correctly.
 TEST(ChainArena, RepeatedAndExtendedBatchesAreStable) {
   auto auth = make_auth();
   ChainArena arena(auth);
@@ -188,14 +187,17 @@ TEST(ChainArena, RepeatedAndExtendedBatchesAreStable) {
     return Value{std::move(vec)};
   }();
 
+  const std::uint32_t node2 = arena.verify(len2, 2, ProcessId{0});
+  const std::uint32_t node3 = arena.verify(len3, 2, ProcessId{0});
+  ASSERT_NE(node2, ChainArena::kNoNode);
+  ASSERT_NE(node3, ChainArena::kNoNode);
+  EXPECT_EQ(encode_value(arena.to_value(node2)), encode_value(len2));
+  EXPECT_EQ(encode_value(arena.to_value(node3)), encode_value(len3));
   for (int round = 0; round < 3; ++round) {
-    std::vector<const Value*> batch{&len2, &len3, &forged};
-    const auto accepted = arena.verify_batch(batch, 2, ProcessId{0});
-    ASSERT_EQ(accepted.size(), 2u) << "round " << round;
-    EXPECT_EQ(encode_value(arena.to_value(accepted[0].node)),
-              encode_value(len2));
-    EXPECT_EQ(encode_value(arena.to_value(accepted[1].node)),
-              encode_value(len3));
+    EXPECT_EQ(arena.verify(forged, 2, ProcessId{0}), ChainArena::kNoNode)
+        << "round " << round;
+    EXPECT_EQ(arena.verify(len2, 2, ProcessId{0}), node2) << "round " << round;
+    EXPECT_EQ(arena.verify(len3, 2, ProcessId{0}), node3) << "round " << round;
   }
 }
 

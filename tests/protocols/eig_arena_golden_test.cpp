@@ -182,5 +182,28 @@ TEST(EigArenaGolden, FactoryReuseIsByteStable) {
   EXPECT_EQ(encode_trace(a.trace), encode_trace(b.trace));
 }
 
+// The ReportCache is shared by every run of one factory, at any n. A dense
+// path id names a label only together with n (id 6 is [1, 2] at n = 4 and
+// [0, 6] at n = 7), so runs that alternate sizes must each encode exactly
+// what a fresh factory encodes.
+TEST(EigArenaGolden, FactoryServesEverySystemSize) {
+  ProtocolFactory shared = eig_interactive_consistency();
+  RunOptions opts;
+  opts.record_trace = true;
+  for (const std::uint32_t n : {4u, 7u, 4u}) {
+    const SystemParams params{n, 2};
+    for (const std::vector<Value>& proposals :
+         {grid_proposals(n), std::vector<Value>(n, Value{std::int64_t{1}})}) {
+      const RunResult got = run_execution(params, shared, proposals,
+                                          Adversary::none(), opts);
+      const RunResult want =
+          run_execution(params, eig_interactive_consistency(), proposals,
+                        Adversary::none(), opts);
+      EXPECT_EQ(encode_trace(got.trace), encode_trace(want.trace))
+          << "n=" << n;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ba::protocols

@@ -189,14 +189,55 @@ TEST(SyncSystem, ReplayMatchesLiveRun) {
   RunResult res = run_execution(params, echo_count(),
                                 std::vector<Value>(5, Value::bit(1)), adv);
   for (ProcessId p = 0; p < params.n; ++p) {
-    std::vector<Inbox> inboxes;
-    for (const RoundEvents& re : res.trace.procs[p].rounds) {
-      inboxes.push_back(re.received);
-    }
-    ReplayResult replay = replay_process(params, echo_count(), p,
-                                         res.trace.procs[p].proposal, inboxes);
+    ReplayResult replay =
+        replay_process(params, echo_count(), p, res.trace.procs[p]);
     EXPECT_EQ(replay.decision, res.decisions[p]) << "p" << p;
   }
+}
+
+TEST(SyncSystem, ReplayDeliversAShuffledInboxInSenderOrder) {
+  // Everyone multicasts in round 1 and decides the senders in the order its
+  // inbox listed them, so a replay decides what it was delivered.
+  class SenderOrder final : public protocols::DecidingProcess {
+   public:
+    explicit SenderOrder(const ProcessContext& ctx) : ctx_(ctx) {}
+    Outbox outbox_for_round(Round r) override {
+      if (r != 1) return {};
+      return protocols::multicast(ctx_.params.n, ctx_.self, Value{1});
+    }
+    void deliver(Round, const Inbox& inbox) override {
+      ValueVec senders;
+      for (const Message& m : inbox) {
+        senders.emplace_back(static_cast<std::int64_t>(m.sender));
+      }
+      decide(Value{std::move(senders)});
+    }
+
+   private:
+    ProcessContext ctx_;
+  };
+  const ProtocolFactory factory = [](const ProcessContext& ctx) {
+    return std::make_unique<SenderOrder>(ctx);
+  };
+  const SystemParams params{6, 1};
+  RunResult res = run_execution(params, factory,
+                                std::vector<Value>(6, Value{}),
+                                Adversary::none());
+  const Value ascending = Value::vec(
+      {Value{std::int64_t{0}}, Value{std::int64_t{1}}, Value{std::int64_t{2}},
+       Value{std::int64_t{4}}, Value{std::int64_t{5}}});
+  ProcessTrace shuffled = res.trace.procs[3];
+  ASSERT_EQ(shuffled.decision, ascending);
+  Inbox& inbox = shuffled.rounds.at(0).received;
+  std::swap(inbox[0], inbox[3]);
+  std::swap(inbox[1], inbox[4]);
+  for (const ProcessTrace* history : {&res.trace.procs[3], &shuffled}) {
+    const ReplayResult replay = replay_process(params, factory, 3, *history);
+    EXPECT_EQ(replay.decision, ascending);
+    EXPECT_EQ(replay.decision_round, 1u);
+  }
+  // The recorded history itself is left as it was.
+  EXPECT_EQ(inbox[0].sender, 4u);
 }
 
 TEST(SyncSystem, MaxRoundsCapsNonQuiescentProtocols) {
