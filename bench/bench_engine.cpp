@@ -1,6 +1,6 @@
 // R-engine — throughput of the execution-backend seam (src/engine/): the
-// bench_runtime workload set (bench_util.h) run through every backend the
-// engine::Registry knows, on one dispatch path. Per-backend rows use the
+// bench_runtime workload set (bench_util.h) run through every backend in
+// engine::backend_names(), on one dispatch path. Per-backend rows use the
 // BENCH_runtime.json row schema, so the lockstep section is directly
 // comparable with the runtime baseline and the sim section prices the event
 // loop on identical work.
@@ -49,7 +49,7 @@ void write_engine_bench_json(std::ostream& os) {
   os << "{\n"
      << "  \"experiment\": \"engine_throughput\",\n"
      << "  \"backends\": [\n";
-  const std::vector<std::string> backends = engine::Registry::global().names();
+  const std::vector<std::string> backends = engine::backend_names();
   for (std::size_t b = 0; b < backends.size(); ++b) {
     os << "    {\"backend\": \"" << backends[b] << "\", \"rows\": [\n";
     std::size_t in_backend = 0;

@@ -21,7 +21,7 @@
 // copy at the repo root is the perf baseline this series is tracked against
 // (see docs/RUNTIME_PERF.md). The workload definitions live in bench_util.h,
 // shared with bench_sim and bench_engine; executions dispatch through the
-// engine::Registry's lockstep backend (docs/ENGINE.md) like every other
+// engine's lockstep backend (docs/ENGINE.md) like every other
 // driver in the repo.
 
 #include "bench_util.h"

@@ -7,7 +7,7 @@
 // value, phase king Theta(n^2 t), authenticated IC Theta(n^3).
 
 #include "bench_util.h"
-#include "protocols/comm_specs.h"
+#include "protocols/registry.h"
 #include "statics/analyzer.h"
 
 namespace ba::bench {
@@ -25,9 +25,9 @@ void report(benchmark::State& state, const SystemParams& params,
   // Bound-vs-observed: the statically derived worst-case cap next to what
   // the probe actually measured (obs/static <= 1 whenever the CommSpec is
   // sound; the conformance suite asserts it, the bench just records it).
-  if (const statics::CommSpec* spec = protocols::find_comm_spec(spec_name)) {
+  if (const auto* row = protocols::find_protocol(spec_name)) {
     const std::uint64_t static_bound =
-        statics::budget_at(statics::analyze(*spec), params).messages;
+        statics::budget_at(statics::analyze(row->spec), params).messages;
     state.counters["static_bound"] = static_cast<double>(static_bound);
     state.counters["obs_static_ratio"] =
         static_bound == 0 ? 0

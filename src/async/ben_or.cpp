@@ -212,7 +212,6 @@ statics::CommSpec ben_or_comm_spec() {
   const Poly n = Poly::n();
   statics::CommSpec spec;
   spec.protocol = "ben-or";
-  spec.aliases = {"ben-or-local", "ben-or-broken"};
   spec.problem = "strong-consensus";
   spec.resilience = "n > 5t";
   // Two all-to-all broadcast virtual rounds per phase, kBenOrMaxPhases

@@ -47,7 +47,15 @@ const AsyncProtocolInfo* find_async_protocol(const std::string& name) {
 }
 
 const char* async_protocol_list() {
-  return "ben-or | ben-or-broken | ben-or-local | bracha";
+  static const std::string list = [] {
+    std::string out;
+    for (const AsyncProtocolInfo& info : async_protocols()) {
+      if (!out.empty()) out += " | ";
+      out += info.name;
+    }
+    return out;
+  }();
+  return list.c_str();
 }
 
 }  // namespace ba::async

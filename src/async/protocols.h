@@ -1,9 +1,14 @@
 #pragma once
 
-// Registry of the asynchronous protocols, keyed by the stable names the CLI
-// and tests use. Mirrors the synchronous protocol registry surface
-// (src/protocols/) in miniature: a sorted list, a lookup, and a " | "-joined
-// name string shared by every error message enumerating the choices.
+// The asynchronous protocols' factories, keyed by the stable names the CLI
+// and tests use: a sorted list, a lookup, and a " | "-joined name string
+// shared by every error message enumerating the choices.
+//
+// Their CommSpecs are rows of the protocol table (protocols/registry.h),
+// which lists each name here as the canonical name or an alias of the
+// ben-or or bracha row; a test checks that every name resolves there. The
+// factories stay in this layer because `explore` resolves names here and
+// ba_protocols links ba_async, not the other way round.
 
 #include <cstdint>
 #include <functional>

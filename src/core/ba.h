@@ -49,7 +49,6 @@
 #include "protocols/adapters.h"
 #include "protocols/beyond_agreement.h"
 #include "protocols/broadcast.h"
-#include "protocols/comm_specs.h"
 #include "protocols/crusader.h"
 #include "protocols/dolev_strong.h"
 #include "protocols/early_stopping.h"
@@ -73,9 +72,7 @@
 #include "runtime/trace_io.h"
 #include "sim/fault.h"
 #include "sim/link.h"
-#include "sim/metrics.h"
 #include "sim/simulator.h"
-#include "sim/sync_adapter.h"
 #include "statics/analyzer.h"
 #include "statics/comm_spec.h"
 #include "statics/poly.h"

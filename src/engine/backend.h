@@ -11,7 +11,8 @@
 // so the Theorem 2 probe/attack/sweep drivers, the CLI, and the benches
 // dispatch uniformly instead of hard-wiring one executor each. Adding a
 // backend (remote, batched, cached-replay) means implementing `run` and
-// registering a factory (engine/registry.h); every driver picks it up.
+// adding a row to the backend table (engine/registry.h); every driver picks
+// it up.
 //
 // Contract: `run` is a PURE function of its arguments — no hidden state,
 // no wall clock — so a backend handle can be shared across ExperimentPool
@@ -59,8 +60,8 @@ class ExecutionBackend {
                                       const Adversary& adversary,
                                       const RunOptions& options = {}) const = 0;
 
-  /// Registry name of the substrate ("lockstep", "sim", ...). Written into
-  /// schema-v2 trace provenance, so it must be a name the registry knows.
+  /// Name of the substrate ("lockstep", "sim", ...). Written into schema-v2
+  /// trace provenance, so it must be one of engine::backend_names().
   [[nodiscard]] virtual const char* name() const = 0;
 
   [[nodiscard]] virtual Capabilities capabilities() const = 0;
@@ -77,8 +78,8 @@ class ExecutionBackend {
                                           const RunOptions& options = {}) const;
 };
 
-/// Shared, immutable backend handle — what drivers store and what the
-/// registry hands out. Shareable across pool workers.
+/// Shared, immutable backend handle — what drivers store and what
+/// make_backend hands out. Shareable across pool workers.
 using BackendHandle = std::shared_ptr<const ExecutionBackend>;
 
 /// The lockstep round executor (runtime/sync_system.h) behind the seam.
@@ -140,7 +141,7 @@ class SimBackend final : public ExecutionBackend {
 };
 
 /// Configuration for the asynchronous adversarial-scheduler backend
-/// (async/backend.h, registered as "async"): the delivery-order strategy
+/// (async/backend.h, named "async"): the delivery-order strategy
 /// plus its seed. Carried per-backend like SimBackendConfig so RunOptions
 /// stays substrate-neutral.
 struct AsyncBackendConfig {

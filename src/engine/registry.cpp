@@ -1,6 +1,5 @@
 #include "engine/registry.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -9,55 +8,47 @@
 #include "async/backend.h"
 
 namespace ba::engine {
+namespace {
 
-Registry::Registry() {
-  add("lockstep", [](const BackendSpec&) -> BackendHandle {
-    return std::make_shared<LockstepBackend>();
-  });
-  add("sim", [](const BackendSpec& spec) -> BackendHandle {
-    return std::make_shared<SimBackend>(spec.sim);
-  });
-  add("async", [](const BackendSpec& spec) -> BackendHandle {
-    return std::make_shared<async::AsyncBackend>(spec.async);
-  });
-}
+struct BuiltinBackend {
+  const char* name;
+  BackendHandle (*make)(const BackendSpec& spec);
+};
 
-Registry& Registry::global() {
-  static Registry registry;
-  return registry;
-}
+// Sorted by name.
+constexpr BuiltinBackend kBackends[] = {
+    {"async",
+     [](const BackendSpec& spec) -> BackendHandle {
+       return std::make_shared<async::AsyncBackend>(spec.async);
+     }},
+    {"lockstep",
+     [](const BackendSpec&) -> BackendHandle {
+       return std::make_shared<LockstepBackend>();
+     }},
+    {"sim",
+     [](const BackendSpec& spec) -> BackendHandle {
+       return std::make_shared<SimBackend>(spec.sim);
+     }},
+};
 
-void Registry::add(const std::string& name, BackendFactory factory) {
-  for (auto& [key, value] : factories_) {
-    if (key == name) {
-      value = std::move(factory);
-      return;
-    }
+}  // namespace
+
+std::vector<std::string> backend_names() {
+  std::vector<std::string> names;
+  for (const BuiltinBackend& backend : kBackends) {
+    names.emplace_back(backend.name);
   }
-  factories_.emplace_back(name, std::move(factory));
+  return names;
 }
 
-bool Registry::knows(const std::string& name) const {
-  return std::any_of(factories_.begin(), factories_.end(),
-                     [&name](const auto& entry) { return entry.first == name; });
-}
-
-std::vector<std::string> Registry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [key, value] : factories_) out.push_back(key);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-BackendHandle Registry::make(const BackendSpec& spec) const {
-  for (const auto& [key, factory] : factories_) {
-    if (key == spec.name) return factory(spec);
+BackendHandle make_backend(const BackendSpec& spec) {
+  for (const BuiltinBackend& backend : kBackends) {
+    if (spec.name == backend.name) return backend.make(spec);
   }
   std::string known;
-  for (const std::string& name : names()) {
+  for (const BuiltinBackend& backend : kBackends) {
     if (!known.empty()) known += " | ";
-    known += name;
+    known += backend.name;
   }
   throw std::invalid_argument("unknown execution backend '" + spec.name +
                               "' (registered: " + known + ")");
@@ -98,7 +89,7 @@ BackendHandle make_backend(const std::string& spec) {
     throw std::invalid_argument("malformed backend spec '" + spec +
                                 "' (want name[:model[,seed]])");
   }
-  return Registry::global().make(*parsed);
+  return make_backend(*parsed);
 }
 
 }  // namespace ba::engine

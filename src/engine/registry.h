@@ -1,19 +1,18 @@
 #pragma once
 
-// Name → factory registry for execution backends.
+// The execution backends by name.
 //
-// The registry is what gives the repo's surfaces one dispatch path: ba_cli's
-// `--backend lockstep|sim[:model,seed]` flag, the benches' per-backend
-// sections, and lint_trace's provenance audit (a schema-v2 trace naming a
-// backend the registry doesn't know fails the lint) all resolve names here.
-// Adding a backend is one `add()` call — every surface picks it up.
+// Every surface that names a backend resolves it here: ba_cli's
+// `--backend lockstep|sim[:model,seed]|async[:strategy,seed]` flag, campaign
+// specs, the benches' per-backend sections, and lint_trace's provenance
+// audit (a schema-v2 trace naming a backend not listed here fails the lint).
 //
-// Built-ins registered at construction: "lockstep" (the round executor),
-// "sim" (the discrete-event simulator, configured by BackendSpec::sim), and
-// "async" (the adversarial-scheduler executor, configured by
-// BackendSpec::async).
+// The backends are a fixed table in registry.cpp: "lockstep" (the round
+// executor), "sim" (the discrete-event simulator, configured by
+// BackendSpec::sim), and "async" (the adversarial-scheduler executor,
+// configured by BackendSpec::async). Adding a backend is one row there;
+// every surface picks it up.
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,43 +30,24 @@ struct BackendSpec {
   AsyncBackendConfig async{};
 };
 
-using BackendFactory = std::function<BackendHandle(const BackendSpec&)>;
+/// The backends' names, sorted.
+[[nodiscard]] std::vector<std::string> backend_names();
 
-class Registry {
- public:
-  /// The process-wide registry, with the built-ins pre-registered.
-  static Registry& global();
-
-  /// Registers (or replaces) a factory under `name`.
-  void add(const std::string& name, BackendFactory factory);
-
-  [[nodiscard]] bool knows(const std::string& name) const;
-  /// Registered names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// Builds a backend; throws std::invalid_argument on an unknown name.
-  [[nodiscard]] BackendHandle make(const BackendSpec& spec) const;
-
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
- private:
-  Registry();
-
-  std::vector<std::pair<std::string, BackendFactory>> factories_;
-};
+/// Builds the backend `spec` names; throws std::invalid_argument on an
+/// unknown name or a config the backend rejects.
+[[nodiscard]] BackendHandle make_backend(const BackendSpec& spec);
 
 /// Parses a CLI backend spec: "lockstep", "sim[:model[,seed]]", or
 /// "async[:strategy[,seed]]" — e.g. "sim:jitter,42", "async:rr-starve,7".
 /// The part after the colon fills both SimBackendConfig's model and
 /// AsyncBackendConfig's strategy (only the named backend reads its config).
-/// Unknown registry names still parse (make() reports them); malformed
+/// Unknown backend names still parse (make_backend reports them); malformed
 /// syntax — empty name/model/seed, a non-numeric or out-of-range seed —
 /// returns nullopt.
 [[nodiscard]] std::optional<BackendSpec> parse_backend_spec(
     const std::string& spec);
 
-/// parse + Registry::global().make: throws std::invalid_argument on
+/// parse_backend_spec + make_backend: throws std::invalid_argument on
 /// malformed specs and unknown names alike.
 [[nodiscard]] BackendHandle make_backend(const std::string& spec);
 

@@ -1,18 +1,15 @@
 #include "lowerbound/sweep.h"
 
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
 
-#include "crypto/signature.h"
 #include "faults/compile.h"
 #include "lowerbound/certificate.h"
 #include "lowerbound/certificate_io.h"
 #include "parallel/experiment_pool.h"
-#include "protocols/comm_specs.h"
-#include "protocols/weak_consensus.h"
+#include "protocols/registry.h"
 #include "statics/analyzer.h"
 
 namespace ba::lowerbound {
@@ -65,9 +62,9 @@ SweepRow sweep_point(const SweepEntry& entry, const SystemParams& params,
   row.max_messages = report.max_message_complexity;
   row.bound = report.bound;
   std::optional<statics::StaticBounds> bounds;
-  if (const statics::CommSpec* spec =
-          protocols::find_comm_spec(entry.protocol_name)) {
-    bounds = statics::analyze(*spec);
+  if (const protocols::ProtocolDescriptor* described =
+          protocols::find_protocol(entry.protocol_name)) {
+    bounds = statics::analyze(described->spec);
     row.static_bound = statics::budget_at(*bounds, params).messages;
   }
   row.critical_round = report.critical_round;
@@ -331,20 +328,13 @@ std::string encode_sweep_row_ndjson(const SweepRow& row) {
 
 std::vector<SweepEntry> standard_sweep_entries() {
   std::vector<SweepEntry> entries;
-  entries.push_back({"silent-default", [](const SystemParams&) {
-                       return protocols::wc_candidate_silent(1);
-                     }});
-  entries.push_back({"leader-beacon", [](const SystemParams&) {
-                       return protocols::wc_candidate_leader_beacon();
-                     }});
-  entries.push_back({"gossip-ring-2", [](const SystemParams&) {
-                       return protocols::wc_candidate_gossip_ring(2, 3);
-                     }});
-  entries.push_back({"dolev-strong-weak", [](const SystemParams& params) {
-                       auto auth = std::make_shared<crypto::Authenticator>(
-                           0xd5, params.n);
-                       return protocols::weak_consensus_auth(auth);
-                     }});
+  for (const char* name : {"silent-default", "leader-beacon", "gossip-ring-2",
+                           "dolev-strong-weak"}) {
+    const protocols::ProtocolDescriptor* row = protocols::find_protocol(name);
+    entries.push_back({name, [row](const SystemParams& params) {
+                         return row->make(params.n);
+                       }});
+  }
   return entries;
 }
 

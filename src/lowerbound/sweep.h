@@ -158,7 +158,8 @@ void write_markdown(std::ostream& os, const SweepResult& result);
 /// verdict, certificate size). The perf-trajectory artifact CI uploads.
 void write_bench_json(std::ostream& os, const SweepResult& result);
 
-/// The library's standard candidate + reference protocol set.
+/// The library's standard attack targets: four rows of the protocol table
+/// (protocols/registry.h), under the names their sweep rows print.
 std::vector<SweepEntry> standard_sweep_entries();
 
 /// The standard (n, t) grid the paper report and the benches sweep.

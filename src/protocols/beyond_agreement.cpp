@@ -125,7 +125,6 @@ statics::CommSpec approximate_agreement_comm_spec(std::int64_t epsilon,
       approximate_agreement_rounds(epsilon, value_bound)));
   statics::CommSpec spec;
   spec.protocol = "approx-agreement";
-  spec.aliases = {"approximate-agreement"};
   spec.problem = "approximate-agreement";
   spec.resilience = "n > 3t";
   spec.rounds = halving_rounds;
@@ -150,7 +149,6 @@ statics::CommSpec k_set_comm_spec(std::uint32_t k) {
   const Poly t = Poly::t();
   statics::CommSpec spec;
   spec.protocol = "k-set-agreement";
-  spec.aliases = {"k-set"};
   spec.problem = "k-set-agreement";
   spec.resilience = "t < n (crash faults)";
   spec.rounds = t + 1;

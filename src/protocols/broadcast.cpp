@@ -206,7 +206,6 @@ statics::CommSpec bb_candidate_relay_ring_comm_spec(std::uint32_t k) {
   const Poly fanout(static_cast<std::int64_t>(k));
   statics::CommSpec spec;
   spec.protocol = "bb-relay-ring";
-  spec.aliases = {"bb-relay-ring-" + std::to_string(k)};
   spec.problem = "broadcast";
   spec.claims_correct = false;
   spec.resilience = "fault-free runs only (broken by cutting the ring)";

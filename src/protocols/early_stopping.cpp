@@ -100,7 +100,6 @@ statics::CommSpec floodset_comm_spec() {
 statics::CommSpec early_deciding_floodset_comm_spec() {
   statics::CommSpec spec = floodset_comm_spec();
   spec.protocol = "early-deciding-floodset";
-  spec.aliases = {"floodset-early"};
   spec.notes =
       "decides after two clean rounds (by round f + 2) but keeps flooding "
       "through t + 1, so the worst-case structure matches floodset";

@@ -177,7 +177,6 @@ ProtocolFactory wc_candidate_one_shot_echo() {
 statics::CommSpec weak_consensus_auth_comm_spec() {
   statics::CommSpec spec = dolev_strong_comm_spec();
   spec.protocol = "dolev-strong-weak";
-  spec.aliases = {"ds-weak"};
   spec.problem = "weak-consensus";
   spec.notes =
       "one Dolev-Strong broadcast with p0 as sender; the decision wrapper "
@@ -188,7 +187,6 @@ statics::CommSpec weak_consensus_auth_comm_spec() {
 statics::CommSpec weak_consensus_unauth_comm_spec() {
   statics::CommSpec spec = phase_king_comm_spec();
   spec.protocol = "phase-king";
-  spec.aliases = {"phase-king-weak"};
   spec.problem = "weak-consensus";
   spec.notes =
       "phase-king strong consensus reused verbatim: Strong Validity implies "
@@ -199,7 +197,6 @@ statics::CommSpec weak_consensus_unauth_comm_spec() {
 statics::CommSpec wc_candidate_silent_comm_spec() {
   statics::CommSpec spec;
   spec.protocol = "silent";
-  spec.aliases = {"silent-default"};
   spec.problem = "weak-consensus";
   spec.claims_correct = false;
   spec.resilience = "none (violates Weak Validity outright)";
@@ -215,7 +212,6 @@ statics::CommSpec wc_candidate_leader_beacon_comm_spec() {
   const Poly n = Poly::n();
   statics::CommSpec spec;
   spec.protocol = "leader-beacon";
-  spec.aliases = {"beacon"};
   spec.problem = "weak-consensus";
   spec.claims_correct = false;
   spec.resilience = "fault-free runs only (broken by isolating the leader)";
@@ -240,7 +236,6 @@ statics::CommSpec wc_candidate_gossip_ring_comm_spec(std::uint32_t k,
   const Poly gossip_rounds(static_cast<std::int64_t>(rounds));
   statics::CommSpec spec;
   spec.protocol = "gossip-ring";
-  spec.aliases = {"gossip", "gossip-ring-" + std::to_string(k)};
   spec.problem = "weak-consensus";
   spec.claims_correct = false;
   spec.resilience = "fault-free runs only (broken by cutting the ring)";

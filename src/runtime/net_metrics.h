@@ -12,7 +12,6 @@
 // producer that measures real latencies), but they live here so that
 // `RunResult::net` (sync_system.h) can surface them through the backend
 // seam (src/engine/) without making the runtime depend on the simulator.
-// src/sim/metrics.h re-exports them under the ba::sim namespace.
 
 #include <array>
 #include <cstdint>

@@ -10,7 +10,6 @@
 #include "faults/compile.h"
 #include "faults/fault_spec.h"
 #include "parallel/seed.h"
-#include "protocols/comm_specs.h"
 #include "protocols/registry.h"
 #include "service/json.h"
 #include "statics/analyzer.h"
@@ -261,7 +260,8 @@ void CampaignSpec::validate() const {
     if (!params.valid()) spec_error("grid: invalid (n, t) point");
   }
   for (const std::string& protocol : protocols) {
-    if (!protocols::make_protocol_by_name(protocol, grid.front().n)) {
+    const auto* row = protocols::find_protocol(protocol);
+    if (row == nullptr || row->make == nullptr) {
       spec_error("unknown protocol '" + protocol + "' (known: " +
                  protocols::registered_protocol_names() + ")");
     }
@@ -278,7 +278,7 @@ void CampaignSpec::validate() const {
                  "campaigns run the synchronous surface");
     }
     try {
-      (void)engine::Registry::global().make(*parsed);
+      (void)engine::make_backend(*parsed);
     } catch (const std::exception& e) {
       spec_error("backend '" + backend + "': " + e.what());
     }
@@ -494,7 +494,7 @@ TaskRunner::TaskRunner(const CampaignSpec& spec) : spec_(spec) {
     if (!parsed) {
       spec_error("backend '" + backend + "': malformed spec");
     }
-    backends_.emplace(backend, engine::Registry::global().make(*parsed));
+    backends_.emplace(backend, engine::make_backend(*parsed));
   }
 }
 
@@ -503,9 +503,11 @@ CampaignRow TaskRunner::run(const TaskSpec& task) const {
   if (backend == backends_.end()) {
     spec_error("task backend '" + task.backend + "' not in campaign spec");
   }
-  const auto factory =
-      protocols::make_protocol_by_name(task.protocol, task.params.n);
-  if (!factory) spec_error("unknown protocol '" + task.protocol + "'");
+  const protocols::ProtocolDescriptor* protocol =
+      protocols::find_protocol(task.protocol);
+  if (protocol == nullptr || protocol->make == nullptr) {
+    spec_error("unknown protocol '" + task.protocol + "'");
+  }
 
   const std::vector<Value> proposals =
       derive_proposals(task.seed, task.params.n);
@@ -517,8 +519,9 @@ CampaignRow TaskRunner::run(const TaskSpec& task) const {
   RunOptions options;
   options.record_trace = false;  // streaming campaigns never keep traces
 
-  const RunResult res = backend->second->run(task.params, *factory, proposals,
-                                             adversary, options);
+  const RunResult res =
+      backend->second->run(task.params, protocol->make(task.params.n),
+                           proposals, adversary, options);
 
   CampaignRow row;
   row.spec_hash = task_spec_hash(spec_, task);
@@ -533,7 +536,7 @@ CampaignRow TaskRunner::run(const TaskSpec& task) const {
 
   // Cached per (protocol, n, t, f): the worst-case bound (f = t) plus, for
   // fault-axis campaigns, the bound at the plan's declared fault count.
-  const auto bound_at = [&](std::uint32_t f) -> std::optional<std::uint64_t> {
+  const auto bound_at = [&](std::uint32_t f) {
     std::string bound_key = task.protocol + "|";
     append_u64(bound_key, task.params.n);
     bound_key += "|";
@@ -542,12 +545,9 @@ CampaignRow TaskRunner::run(const TaskSpec& task) const {
     append_u64(bound_key, f);
     const auto cached = bound_cache_.find(bound_key);
     if (cached != bound_cache_.end()) return cached->second;
-    std::optional<std::uint64_t> bound;
-    if (const statics::CommSpec* comm =
-            protocols::find_comm_spec(task.protocol)) {
-      bound =
-          statics::budget_at(statics::analyze(*comm), task.params, f).messages;
-    }
+    const std::uint64_t bound =
+        statics::budget_at(statics::analyze(protocol->spec), task.params, f)
+            .messages;
     bound_cache_.emplace(std::move(bound_key), bound);
     return bound;
   };

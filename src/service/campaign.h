@@ -40,7 +40,7 @@ struct TaskSpec {
   std::uint64_t index{0};
   std::string protocol;
   SystemParams params;
-  std::string backend;  // engine registry spec, e.g. "lockstep", "sim:jitter,7"
+  std::string backend;  // engine backend spec, e.g. "lockstep", "sim:jitter,7"
   std::string fault;    // fault-plan name, e.g. "fault-free", "crash:1"
   std::uint64_t seed_index{0};
   /// parallel::derive_task_seed(master_seed, index): drives proposals and
@@ -51,7 +51,7 @@ struct TaskSpec {
 struct CampaignSpec {
   std::string name{"campaign"};
   std::uint64_t master_seed{1};
-  std::vector<std::string> protocols;       // protocols/registry.h names
+  std::vector<std::string> protocols;       // protocol table names or aliases
   std::vector<SystemParams> grid;           // (n, t) points
   std::vector<std::string> backends{std::string{"lockstep"}};
   /// Explicit fault plans (faults/fault_spec.h grammar, docs/FAULTS.md).
@@ -181,7 +181,7 @@ class TaskRunner {
  private:
   const CampaignSpec& spec_;
   std::map<std::string, engine::BackendHandle> backends_;
-  mutable std::map<std::string, std::optional<std::uint64_t>> bound_cache_;
+  mutable std::map<std::string, std::uint64_t> bound_cache_;
 };
 
 /// 16-digit lowercase hex of a 64-bit value (spec/row hashes in rows).

@@ -43,11 +43,11 @@
 #include <vector>
 
 #include "runtime/fault.h"
+#include "runtime/net_metrics.h"
 #include "runtime/process.h"
 #include "runtime/sync_system.h"
 #include "sim/fault.h"
 #include "sim/link.h"
-#include "sim/metrics.h"
 
 namespace ba::sim {
 

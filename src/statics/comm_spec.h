@@ -80,11 +80,9 @@ struct RoundBlock {
 
 /// The full static declaration of one protocol's communication structure.
 struct CommSpec {
-  /// Stable registry name (matches the CLI / sweep surface).
+  /// Canonical name of the protocol's row in the protocol table
+  /// (protocols/registry.h), which also lists the row's aliases.
   std::string protocol;
-  /// Alternate names the surfaces use for the same construction
-  /// (e.g. the CLI's "beacon" for the sweep's "leader-beacon").
-  std::vector<std::string> aliases;
   /// Problem class tag: "weak-consensus", "strong-consensus", "broadcast",
   /// "interactive-consistency", "crusader-broadcast", "graded-broadcast",
   /// "crash-consensus", "approximate-agreement", "k-set-agreement".

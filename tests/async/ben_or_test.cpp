@@ -137,10 +137,10 @@ TEST(BenOr, StaysWithinTheStaticBudget) {
   // schedule extracts from correct processes; the async-model lint enforces
   // it through the kBudget invariant.
   const SystemParams params{4, 1};
-  const statics::CommSpec* spec = protocols::find_comm_spec("ben-or");
-  ASSERT_NE(spec, nullptr);
+  const protocols::ProtocolDescriptor* row = protocols::find_protocol("ben-or");
+  ASSERT_NE(row, nullptr);
   const statics::Budget budget =
-      statics::budget_at(statics::analyze(*spec), params);
+      statics::budget_at(statics::analyze(row->spec), params);
   BenOrConfig config;
   config.coin = ideal_coin(3);
   const AsyncProtocolFactory factory = ben_or_factory(config);

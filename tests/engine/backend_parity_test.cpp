@@ -1,9 +1,9 @@
-// The engine contract: every registered ExecutionBackend is a drop-in
+// The engine contract: every ExecutionBackend in the table is a drop-in
 // substrate for the repo's experiments. The parametrized fixture runs the
 // protocol conformance set (Dolev-Strong, EIG, phase-king) and a Theorem 2
 // attack-sweep grid under each backend and asserts decisions, message
 // counts, and sweep rows are identical to the lockstep reference — plus the
-// registry/spec-parsing surface and the RunOptions fail-fast contract.
+// backend-table/spec-parsing surface and the RunOptions fail-fast contract.
 
 #include <gtest/gtest.h>
 
@@ -63,26 +63,25 @@ std::vector<ConformanceCase> conformance_cases() {
 }
 
 // ---------------------------------------------------------------------------
-// Registry and spec parsing.
+// The backend table and spec parsing.
 // ---------------------------------------------------------------------------
 
 TEST(EngineRegistry, KnowsTheBuiltins) {
-  Registry& reg = Registry::global();
-  EXPECT_TRUE(reg.knows("lockstep"));
-  EXPECT_TRUE(reg.knows("sim"));
-  EXPECT_TRUE(reg.knows("async"));
-  EXPECT_FALSE(reg.knows("warp-drive"));
-  const std::vector<std::string> names = reg.names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "lockstep"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "sim"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "async"), names.end());
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(backend_names(),
+            (std::vector<std::string>{"async", "lockstep", "sim"}));
+  for (const std::string& name : backend_names()) {
+    BackendSpec spec;
+    spec.name = name;
+    const BackendHandle backend = make_backend(spec);
+    ASSERT_NE(backend, nullptr) << name;
+    EXPECT_EQ(backend->name(), name);
+  }
 }
 
 TEST(EngineRegistry, MakeRejectsUnknownNames) {
   BackendSpec spec;
   spec.name = "warp-drive";
-  EXPECT_THROW((void)Registry::global().make(spec), std::invalid_argument);
+  EXPECT_THROW((void)make_backend(spec), std::invalid_argument);
   EXPECT_THROW((void)make_backend("warp-drive"), std::invalid_argument);
 }
 
@@ -124,7 +123,7 @@ TEST(EngineRegistry, ParsesBackendSpecs) {
 
 // The diagnostics are part of the CLI surface (--backend forwards them to
 // the user verbatim), so the exact wording is pinned: the unknown-name
-// message must enumerate the registered backends and the malformed-spec
+// message must enumerate the backend table and the malformed-spec
 // message must restate the grammar.
 TEST(EngineRegistry, UnknownBackendErrorNamesTheRegistry) {
   try {

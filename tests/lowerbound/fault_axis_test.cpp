@@ -51,8 +51,7 @@ TEST(FaultAxis, ChartsOnePointPerFOnTheLockstepBackend) {
 
 TEST(FaultAxis, HoldsOnTheSimBackendToo) {
   SweepOptions options = axis_options("crash");
-  options.attack.backend = engine::Registry::global().make(
-      *engine::parse_backend_spec("sim:sync,1"));
+  options.attack.backend = engine::make_backend("sim:sync,1");
   const std::vector<SystemParams> grid = {{12, 11}};
   const SweepResult result =
       run_attack_sweep(standard_sweep_entries(), grid, options);

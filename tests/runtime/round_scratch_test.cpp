@@ -109,8 +109,9 @@ TEST(RoundScratch, BackToBackExecutionsAreIdentical) {
 
   // And the same through the simulator, which reuses RoundScratch across
   // its event loop.
-  const RunResult c = sim::run_execution_sim(params, factory, proposals, adv);
-  const RunResult d = sim::run_execution_sim(params, factory, proposals, adv);
+  const engine::SimBackend sim;
+  const RunResult c = sim.run(params, factory, proposals, adv);
+  const RunResult d = sim.run(params, factory, proposals, adv);
   EXPECT_EQ(encode_trace(c.trace), encode_trace(d.trace));
   EXPECT_EQ(encode_trace(a.trace), encode_trace(c.trace));
 }

@@ -13,6 +13,10 @@
 namespace ba::sim {
 namespace {
 
+/// The simulator behind the backend seam on its default zero-jitter `sync`
+/// link model: the lockstep-parity substrate.
+const engine::SimBackend kSim;
+
 struct Fixture {
   SystemParams params{7, 2};
   ProtocolFactory factory = protocols::phase_king_consensus();
@@ -59,7 +63,7 @@ TEST(SimFaults, RandomOmissionsNeverDeliverBlockedMessages) {
       RunOptions opts;
       opts.lint_trace = true;
       const RunResult res =
-          run_execution_sim(fx.params, fx.factory, fx.proposals, adv, opts);
+          kSim.run(fx.params, fx.factory, fx.proposals, adv, opts);
       expect_no_blocked_delivery(res.trace, adv);
       ASSERT_TRUE(res.lint.has_value());
       EXPECT_TRUE(res.lint->clean())
@@ -76,7 +80,7 @@ TEST(SimFaults, IsolationNeverDeliversBlockedMessages) {
     RunOptions opts;
     opts.lint_trace = true;
     const RunResult res =
-        run_execution_sim(fx.params, fx.factory, fx.proposals, adv, opts);
+        kSim.run(fx.params, fx.factory, fx.proposals, adv, opts);
     expect_no_blocked_delivery(res.trace, adv);
     // Isolation cuts inbound cross traffic: nothing from outside the group
     // may reach it from `from` on.
@@ -96,7 +100,7 @@ TEST(SimFaults, IsolationNeverDeliversBlockedMessages) {
 }
 
 // The same property through the full simulator surface (jitter model +
-// metrics), not just the parity adapter: predicates decide drops before
+// metrics), not just the sync model: predicates decide drops before
 // latency sampling, so the link model cannot resurrect a blocked message.
 TEST(SimFaults, PredicatesHoldUnderJitterModel) {
   Fixture fx;

@@ -1,5 +1,5 @@
 // The lockstep-parity contract of the discrete-event simulator: under the
-// zero-jitter synchronous model, `simulate` / `run_execution_sim` must be
+// zero-jitter synchronous model, `simulate` / `engine::SimBackend` must be
 // bit-identical to `run_execution` — decisions, message counts, and the full
 // event trace — for every protocol family and adversary the repo exercises.
 // This is the acceptance bar that lets the simulator serve as a drop-in
@@ -14,6 +14,10 @@
 
 namespace ba::sim {
 namespace {
+
+/// The simulator behind the backend seam on its default zero-jitter `sync`
+/// link model: the lockstep-parity substrate.
+const engine::SimBackend kSim;
 
 std::shared_ptr<crypto::Authenticator> make_auth(std::uint32_t n) {
   return std::make_shared<crypto::Authenticator>(0xba5eba11, n);
@@ -83,8 +87,8 @@ TEST(SimParity, FaultFreeBitIdenticalAcrossProtocols) {
     opts.lint_trace = true;
     const RunResult lockstep = run_execution(c.params, c.factory, c.proposals,
                                              Adversary::none(), opts);
-    const RunResult sim = run_execution_sim(c.params, c.factory, c.proposals,
-                                            Adversary::none(), opts);
+    const RunResult sim =
+        kSim.run(c.params, c.factory, c.proposals, Adversary::none(), opts);
     expect_bit_identical(sim, lockstep, c.name);
     EXPECT_TRUE(sim.lint_clean()) << c.name;
   }
@@ -96,8 +100,7 @@ TEST(SimParity, IsolationAdversaryBitIdentical) {
         ProcessSet::range(c.params.n - 2, c.params.n), /*from_round=*/2);
     const RunResult lockstep =
         run_execution(c.params, c.factory, c.proposals, adv, {});
-    const RunResult sim =
-        run_execution_sim(c.params, c.factory, c.proposals, adv, {});
+    const RunResult sim = kSim.run(c.params, c.factory, c.proposals, adv, {});
     expect_bit_identical(sim, lockstep, c.name + "/isolation");
   }
 }
@@ -108,8 +111,7 @@ TEST(SimParity, CrashScheduleBitIdentical) {
         crash_schedule({{c.params.n - 1, 2}, {c.params.n - 2, 3}});
     const RunResult lockstep =
         run_execution(c.params, c.factory, c.proposals, adv, {});
-    const RunResult sim =
-        run_execution_sim(c.params, c.factory, c.proposals, adv, {});
+    const RunResult sim = kSim.run(c.params, c.factory, c.proposals, adv, {});
     expect_bit_identical(sim, lockstep, c.name + "/crash");
   }
 }
@@ -121,7 +123,7 @@ TEST(SimParity, SimulatedTracesPassTheLinter) {
     RunOptions opts;
     opts.lint_trace = true;
     const RunResult sim =
-        run_execution_sim(c.params, c.factory, c.proposals, adv, opts);
+        kSim.run(c.params, c.factory, c.proposals, adv, opts);
     ASSERT_TRUE(sim.lint.has_value()) << c.name;
     EXPECT_TRUE(sim.lint->clean()) << c.name << ": " << sim.lint->summary();
   }
@@ -181,8 +183,7 @@ TEST(SimParity, AlwaysLatePreGstEqualsIsolationUntilGst) {
   };
   const RunResult lockstep =
       run_execution(params, factory, proposals, until_gst, {});
-  const RunResult sim =
-      run_execution_sim(params, factory, proposals, until_gst, {});
+  const RunResult sim = kSim.run(params, factory, proposals, until_gst, {});
   expect_bit_identical(sim, lockstep, "until-gst");
 }
 

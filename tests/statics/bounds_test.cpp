@@ -18,15 +18,29 @@
 namespace ba::statics {
 namespace {
 
-using protocols::all_comm_specs;
-using protocols::find_comm_spec;
+using protocols::find_protocol;
+using protocols::ProtocolDescriptor;
+
+/// The CommSpec of every row of the protocol table, in table order.
+std::vector<CommSpec> table_specs() {
+  std::vector<CommSpec> specs;
+  for (const ProtocolDescriptor& row : protocols::protocol_table()) {
+    specs.push_back(row.spec);
+  }
+  return specs;
+}
+
+/// The spec of the row `name` resolves to.
+const CommSpec& spec_of(std::string_view name) {
+  return find_protocol(name)->spec;
+}
 
 TEST(CommSpecRegistry, EveryProtocolDeclaresASpec) {
-  // One entry per protocol family in src/protocols/ (correct protocols plus
+  // One row per protocol family in src/protocols/ (correct protocols plus
   // the deliberately broken candidates) and in src/async/. Growing the
   // library should grow this count alongside a new golden entry below.
-  EXPECT_EQ(all_comm_specs().size(), 25u);
-  for (const CommSpec& spec : all_comm_specs()) {
+  EXPECT_EQ(table_specs().size(), 25u);
+  for (const CommSpec& spec : table_specs()) {
     EXPECT_FALSE(spec.protocol.empty());
     EXPECT_FALSE(spec.problem.empty());
     const StaticBounds bounds = analyze(spec);
@@ -39,33 +53,84 @@ TEST(CommSpecRegistry, EveryProtocolDeclaresASpec) {
 }
 
 TEST(CommSpecRegistry, NamesAndAliasesAreUnique) {
+  // Across the whole table, so a name can never mean two rows.
   std::set<std::string> seen;
-  for (const CommSpec& spec : all_comm_specs()) {
-    EXPECT_TRUE(seen.insert(spec.protocol).second) << spec.protocol;
-    for (const std::string& alias : spec.aliases) {
+  for (const ProtocolDescriptor& row : protocols::protocol_table()) {
+    EXPECT_TRUE(seen.insert(row.spec.protocol).second) << row.spec.protocol;
+    for (const std::string& alias : row.aliases) {
       EXPECT_TRUE(seen.insert(alias).second) << alias;
     }
   }
 }
 
 TEST(CommSpecRegistry, EverySurfaceNameResolves) {
-  // The CLI names (src/protocols/registry.cpp) and the sweep entry names
-  // (lowerbound::standard_sweep_entries) must all reach a spec, so the
-  // budget wiring covers every runnable surface.
-  for (const char* name :
-       {"silent", "beacon", "gossip", "one-shot-echo", "ds-weak",
-        "phase-king", "phase-king-strong", "floodset", "eig-strong",
-        "silent-default", "leader-beacon", "gossip-ring-2",
-        "dolev-strong-weak", "ben-or", "bracha"}) {
-    EXPECT_NE(find_comm_spec(name), nullptr) << name;
+  // Every name a surface runs reaches a row with a factory, so the budget
+  // wiring covers every runnable surface: the sweep's entries
+  // (lowerbound::standard_sweep_entries), dr-attack's three, and the names
+  // run, attack and the campaign service accepted before the table.
+  for (const lowerbound::SweepEntry& entry :
+       lowerbound::standard_sweep_entries()) {
+    const ProtocolDescriptor* row = find_protocol(entry.protocol_name);
+    ASSERT_NE(row, nullptr) << entry.protocol_name;
+    EXPECT_NE(row->make, nullptr) << entry.protocol_name;
   }
-  EXPECT_EQ(find_comm_spec("no-such-protocol"), nullptr);
-  // Aliases resolve to the same spec object as the canonical name.
-  EXPECT_EQ(find_comm_spec("ds-weak"), find_comm_spec("dolev-strong-weak"));
-  // The async Ben-Or variants share one communication envelope: the coin
-  // flavour and the broken thresholds change decisions, not message shape.
-  EXPECT_EQ(find_comm_spec("ben-or-local"), find_comm_spec("ben-or"));
-  EXPECT_EQ(find_comm_spec("ben-or-broken"), find_comm_spec("ben-or"));
+  for (const char* name :
+       {"direct", "relay-ring", "dolev-strong", "silent", "beacon", "gossip",
+        "one-shot-echo", "ds-weak", "phase-king", "phase-king-strong",
+        "floodset", "eig-strong"}) {
+    const ProtocolDescriptor* row = find_protocol(name);
+    ASSERT_NE(row, nullptr) << name;
+    EXPECT_NE(row->make, nullptr) << name;
+  }
+  EXPECT_EQ(find_protocol("no-such-protocol"), nullptr);
+  EXPECT_FALSE(protocols::make_protocol_by_name("no-such-protocol", 4));
+  // Aliases resolve to the same row as the canonical name.
+  EXPECT_EQ(find_protocol("ds-weak"), find_protocol("dolev-strong-weak"));
+  EXPECT_EQ(find_protocol("direct"), find_protocol("bb-direct"));
+  EXPECT_EQ(find_protocol("relay-ring"), find_protocol("bb-relay-ring"));
+  // A row without a factory resolves for its spec but runs nothing.
+  ASSERT_NE(find_protocol("turpin-coan"), nullptr);
+  EXPECT_EQ(find_protocol("turpin-coan")->make, nullptr);
+  EXPECT_FALSE(protocols::make_protocol_by_name("turpin-coan", 4));
+}
+
+TEST(CommSpecRegistry, EveryAsyncNameResolvesToItsRow) {
+  // The async factories live in async/protocols.h; their specs are the
+  // table's ben-or and bracha rows. The Ben-Or variants share one envelope:
+  // the coin flavour and the broken thresholds change decisions, not
+  // message shape.
+  const ProtocolDescriptor* ben_or = find_protocol("ben-or");
+  const ProtocolDescriptor* bracha = find_protocol("bracha");
+  ASSERT_NE(ben_or, nullptr);
+  ASSERT_NE(bracha, nullptr);
+  for (const async::AsyncProtocolInfo& info : async::async_protocols()) {
+    const ProtocolDescriptor* row = find_protocol(info.name);
+    EXPECT_TRUE(row == ben_or || row == bracha) << info.name;
+  }
+}
+
+TEST(CommSpecRegistry, RunnableRowsRunWithinTheirOwnBudget) {
+  // Every row with a factory runs fault-free on lockstep and sends no more
+  // than its own spec allows, so a factory and a spec in one row describe
+  // the same protocol.
+  std::size_t runnable = 0;
+  for (const ProtocolDescriptor& row : protocols::protocol_table()) {
+    if (row.make == nullptr) continue;
+    ++runnable;
+    for (const SystemParams params : {SystemParams{4, 1}, SystemParams{7, 2}}) {
+      std::vector<Value> proposals;
+      for (std::uint32_t p = 0; p < params.n; ++p) {
+        proposals.push_back(Value::bit(static_cast<int>(p % 2)));
+      }
+      const RunResult res =
+          engine::default_backend().run(params, row.make(params.n), proposals,
+                                        Adversary::none());
+      EXPECT_LE(res.messages_sent_by_correct,
+                budget_at(analyze(row.spec), params).messages)
+          << row.spec.protocol << " at n=" << params.n;
+    }
+  }
+  EXPECT_EQ(runnable, 12u);
 }
 
 TEST(GoldenBounds, ClosedFormsMatchThePaperArithmetic) {
@@ -100,8 +165,8 @@ TEST(GoldenBounds, ClosedFormsMatchThePaperArithmetic) {
       {"ben-or", {"128*n^2 - 128*n", "128"}},
       {"bracha", {"2*n^2 - 2*n", "3"}},
   };
-  ASSERT_EQ(golden.size(), all_comm_specs().size());
-  for (const CommSpec& spec : all_comm_specs()) {
+  ASSERT_EQ(golden.size(), table_specs().size());
+  for (const CommSpec& spec : table_specs()) {
     const auto it = golden.find(spec.protocol);
     ASSERT_NE(it, golden.end()) << spec.protocol;
     const StaticBounds bounds = analyze(spec);
@@ -113,7 +178,7 @@ TEST(GoldenBounds, ClosedFormsMatchThePaperArithmetic) {
 }
 
 TEST(GoldenBounds, OnlyEigPayloadsAreSuperpolynomial) {
-  for (const CommSpec& spec : all_comm_specs()) {
+  for (const CommSpec& spec : table_specs()) {
     const StaticBounds bounds = analyze(spec);
     const bool is_eig =
         spec.protocol == "eig-ic" || spec.protocol == "eig-strong";
@@ -122,17 +187,17 @@ TEST(GoldenBounds, OnlyEigPayloadsAreSuperpolynomial) {
 }
 
 TEST(Budgets, ConcreteEvaluationAtWorstCaseF) {
-  const StaticBounds ds = analyze(*find_comm_spec("dolev-strong"));
+  const StaticBounds ds = analyze(spec_of("dolev-strong"));
   const Budget at16 = budget_at(ds, SystemParams{16, 15});
   EXPECT_EQ(at16.messages, 2u * 256 - 16 - 1);  // 495
   EXPECT_EQ(at16.rounds, 16u);
   ASSERT_TRUE(at16.payload_bytes.has_value());
 
-  const StaticBounds pk = analyze(*find_comm_spec("phase-king"));
+  const StaticBounds pk = analyze(spec_of("phase-king"));
   EXPECT_EQ(budget_at(pk, SystemParams{4, 1}).messages, 54u);
 
   EXPECT_FALSE(
-      budget_at(analyze(*find_comm_spec("eig-ic")), SystemParams{4, 1})
+      budget_at(analyze(spec_of("eig-ic")), SystemParams{4, 1})
           .payload_bytes.has_value());
 }
 
@@ -142,7 +207,7 @@ TEST(Budgets, ExplicitFEqualsTheWorstCaseAtFEqualsT) {
   // produced — threading f through statics changed no existing budget.
   const std::vector<SystemParams> grid = {{4, 1},  {7, 2},   {12, 11},
                                           {16, 5}, {32, 31}, {64, 21}};
-  for (const CommSpec& spec : all_comm_specs()) {
+  for (const CommSpec& spec : table_specs()) {
     const StaticBounds bounds = analyze(spec);
     for (const SystemParams& params : grid) {
       const Budget worst = budget_at(bounds, params);
@@ -160,7 +225,7 @@ TEST(Budgets, BoundsAreMonotoneNonDecreasingInF) {
   // property holds trivially today (no registered spec uses Poly::f()), but
   // it gates any future f-dependent CommSpec.
   const std::vector<SystemParams> grid = {{4, 1}, {7, 2}, {12, 11}, {32, 10}};
-  for (const CommSpec& spec : all_comm_specs()) {
+  for (const CommSpec& spec : table_specs()) {
     const StaticBounds bounds = analyze(spec);
     for (const SystemParams& params : grid) {
       Budget prev = budget_at(bounds, params, 0);
@@ -177,7 +242,7 @@ TEST(Budgets, BoundsAreMonotoneNonDecreasingInF) {
 
 TEST(CrossCheck, RealSpecTableIsConsistentWithThePaper) {
   std::vector<StaticBounds> bounds;
-  for (const CommSpec& spec : all_comm_specs()) bounds.push_back(analyze(spec));
+  for (const CommSpec& spec : table_specs()) bounds.push_back(analyze(spec));
   const auto findings = cross_check(bounds, standard_cross_check_grid());
   for (const auto& finding : findings) ADD_FAILURE() << finding.to_string();
 }
@@ -186,7 +251,7 @@ TEST(CrossCheck, FlagsACorrectClaimingSpecBelowTheLowerBound) {
   // Doctor a spec that claims correctness while declaring one lonely
   // message: the paper says that cannot exist, so the analyzer must call
   // it a spec bug.
-  CommSpec doctored = *find_comm_spec("dolev-strong");
+  CommSpec doctored = spec_of("dolev-strong");
   doctored.protocol = "doctored-subquadratic";
   doctored.blocks = {{.label = "round 1",
                       .rounds = Poly(1),
@@ -208,14 +273,14 @@ TEST(CrossCheck, AttackTargetsAndNonAgreementProblemsAreExempt) {
   EXPECT_FALSE(lower_bound_applies("approximate-agreement"));
   EXPECT_FALSE(lower_bound_applies("k-set-agreement"));
   // silent claims_correct == false and sends 0 messages: exempt.
-  const auto findings = cross_check({analyze(*find_comm_spec("silent"))},
+  const auto findings = cross_check({analyze(spec_of("silent"))},
                                     standard_cross_check_grid());
   EXPECT_TRUE(findings.empty());
 }
 
 TEST(Writers, MarkdownAndJsonCarryTheBoundsTable) {
-  std::vector<StaticBounds> bounds = {analyze(*find_comm_spec("dolev-strong")),
-                                      analyze(*find_comm_spec("eig-ic"))};
+  std::vector<StaticBounds> bounds = {analyze(spec_of("dolev-strong")),
+                                      analyze(spec_of("eig-ic"))};
   std::ostringstream md;
   write_bounds_markdown(md, bounds, SystemParams{16, 15});
   EXPECT_NE(md.str().find("| protocol | problem | claims |"),

@@ -88,9 +88,9 @@ std::vector<ConformanceCase> conformance_cases() {
 }
 
 statics::Budget budget_for(const char* spec_name, const SystemParams& params) {
-  const statics::CommSpec* spec = protocols::find_comm_spec(spec_name);
-  EXPECT_NE(spec, nullptr) << spec_name;
-  return statics::budget_at(statics::analyze(*spec), params);
+  const auto* row = protocols::find_protocol(spec_name);
+  EXPECT_NE(row, nullptr) << spec_name;
+  return statics::budget_at(statics::analyze(row->spec), params);
 }
 
 void expect_observed_within_budget(const engine::ExecutionBackend& backend) {

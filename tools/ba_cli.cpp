@@ -3,7 +3,7 @@
 // starts by parsing its cli::Command table (tools/cli.h), which binds every
 // positional and option to the variable it fills and checks each argument.
 //
-// Every execution dispatches through the engine::Registry: SPEC is
+// Every execution dispatches through engine::make_backend: SPEC is
 // `lockstep`, `sim[:model[,seed]]`, or `async[:strategy[,seed]]` (e.g.
 // `sim:jitter,42`, `async:rr-starve,7`). `run` and `sim` are one command
 // whose default backend is lockstep and sim respectively; the sim-model
@@ -50,14 +50,30 @@ bool save(const std::string& path, const Data& data) {
   return false;
 }
 
+// The validity properties `solvability` accepts: make_property and the
+// usage text both read this table.
+struct PropertyBuilder {
+  std::string_view name;
+  validity::ValidityProperty (*make)(std::uint32_t n, std::uint32_t t);
+};
+
+constexpr PropertyBuilder kProperties[] = {
+    {"weak", [](auto n, auto t) { return validity::weak_validity(n, t); }},
+    {"strong", [](auto n, auto t) { return validity::strong_validity(n, t); }},
+    {"sender",
+     [](auto n, auto t) { return validity::sender_validity(n, t, 0); }},
+    {"ic", [](auto n, auto t) { return validity::ic_validity(n, t); }},
+    {"any-proposed",
+     [](auto n, auto t) { return validity::any_proposed_validity(n, t); }},
+    {"constant",
+     [](auto n, auto t) { return validity::constant_validity(n, t); }},
+};
+
 std::optional<validity::ValidityProperty> make_property(
-    const std::string& name, std::uint32_t n, std::uint32_t t) {
-  if (name == "weak") return validity::weak_validity(n, t);
-  if (name == "strong") return validity::strong_validity(n, t);
-  if (name == "sender") return validity::sender_validity(n, t, 0);
-  if (name == "ic") return validity::ic_validity(n, t);
-  if (name == "any-proposed") return validity::any_proposed_validity(n, t);
-  if (name == "constant") return validity::constant_validity(n, t);
+    std::string_view name, std::uint32_t n, std::uint32_t t) {
+  for (const PropertyBuilder& property : kProperties) {
+    if (property.name == name) return property.make(n, t);
+  }
   return std::nullopt;
 }
 
@@ -73,23 +89,23 @@ std::optional<engine::BackendSpec> backend_spec(const std::string& text) {
 
 /// The backend `spec` names, or null after reporting an unknown name or a
 /// bad sim config.
-engine::BackendHandle make_backend(const engine::BackendSpec& spec) {
+engine::BackendHandle open_backend(const engine::BackendSpec& spec) {
   try {
-    return engine::Registry::global().make(spec);
+    return engine::make_backend(spec);
   } catch (const std::exception& e) {
     fail(2, std::string("--backend: ") + e.what());
     return nullptr;
   }
 }
 
-/// The statically derived message budget of `protocol` at `params` with `f`
-/// actual faults, when the protocol declares a CommSpec.
-std::optional<std::uint64_t> static_budget(const std::string& protocol,
-                                           const SystemParams& params,
-                                           std::uint32_t f) {
-  const statics::CommSpec* spec = protocols::find_comm_spec(protocol);
-  if (spec == nullptr) return std::nullopt;
-  return statics::budget_at(statics::analyze(*spec), params, f).messages;
+/// The statically derived message budget of `protocol`'s row at `params`
+/// with `f` actual faults; nullopt for a name outside the protocol table.
+std::optional<std::uint64_t> static_budget(
+    const protocols::ProtocolDescriptor* protocol, const SystemParams& params,
+    std::uint32_t f) {
+  if (protocol == nullptr) return std::nullopt;
+  return statics::budget_at(statics::analyze(protocol->spec), params, f)
+      .messages;
 }
 
 /// The line an attack prints for the violation it constructed.
@@ -184,17 +200,13 @@ int cmd_dr_attack(int argc, char** argv) {
   const std::uint32_t t = t_arg.value_or(n / 2);
   // Checked here too, so a bad (n, t) gets the CLI's own message and exit 2.
   if (!SystemParams{n, t}.valid()) return fail(2, "dr-attack: want t < n");
-  ProtocolFactory protocol;
-  if (name == "direct") {
-    protocol = protocols::bb_candidate_direct(0);
-  } else if (name == "relay-ring") {
-    protocol = protocols::bb_candidate_relay_ring(0, 2);
-  } else if (name == "dolev-strong") {
-    auto auth = std::make_shared<crypto::Authenticator>(0xd12, n);
-    protocol = protocols::dolev_strong_broadcast(auth, 0);
-  } else {
-    return fail(2, "dr-attack protocols: direct relay-ring dolev-strong");
+  // The cut attack needs a designated sender: the table's broadcast rows.
+  const protocols::ProtocolDescriptor* row = protocols::find_protocol(name);
+  if (row == nullptr || row->make == nullptr ||
+      row->spec.problem != "broadcast") {
+    return usage();
   }
+  const ProtocolFactory protocol = row->make(n);
   auto report = lowerbound::attack_broadcast(SystemParams{n, t}, protocol, 0,
                                              Value::bit(0), Value::bit(1));
   std::printf("%s", report.narrative.c_str());
@@ -250,8 +262,8 @@ int run_protocol(const std::string& command, const char* default_backend,
        {"--round-ticks", "T", &round_ticks}}};
   if (!cli::parse(cmd, argc, argv)) return 2;
   if (bits.size() != n) return fail(2, "need exactly n proposal bits");
-  auto protocol = protocols::make_protocol_by_name(name, n);
-  if (!protocol) return usage();
+  const protocols::ProtocolDescriptor* row = protocols::find_protocol(name);
+  if (row == nullptr || row->make == nullptr) return usage();
   auto spec = backend_spec(backend.value_or(default_backend));
   if (!spec) return 2;
   if (model) spec->sim.model = *model;
@@ -259,7 +271,7 @@ int run_protocol(const std::string& command, const char* default_backend,
   if (gst) spec->sim.gst_round = *gst;
   if (lag) spec->sim.lag = *lag;
   if (round_ticks) spec->sim.round_ticks = *round_ticks;
-  const engine::BackendHandle handle = make_backend(*spec);
+  const engine::BackendHandle handle = open_backend(*spec);
   if (!handle) return 2;
 
   const SystemParams params{n, t};
@@ -278,12 +290,12 @@ int run_protocol(const std::string& command, const char* default_backend,
   // The linter flags runs over the static budget at the plan's declared
   // actual-fault count.
   opts.message_budget =
-      static_budget(name, params, fault_spec.declared_faults(params));
+      static_budget(row, params, fault_spec.declared_faults(params));
   std::vector<Value> proposals(bits.size());
   std::ranges::transform(bits, proposals.begin(), &Value::bit);
   RunResult res;
   try {
-    res = handle->run(params, *protocol, proposals, adversary, opts);
+    res = handle->run(params, row->make(n), proposals, adversary, opts);
   } catch (const std::exception& e) {
     // E.g. the async backend refuses synchronous protocols by contract.
     return fail(2, command + ": " + e.what());
@@ -350,11 +362,11 @@ int cmd_bounds(int argc, char** argv) {
   }
   std::vector<statics::StaticBounds> bounds;
   if (protocol.empty()) {
-    for (const statics::CommSpec& spec : protocols::all_comm_specs()) {
-      bounds.push_back(statics::analyze(spec));
+    for (const auto& row : protocols::protocol_table()) {
+      bounds.push_back(statics::analyze(row.spec));
     }
-  } else if (const auto* spec = protocols::find_comm_spec(protocol)) {
-    bounds.push_back(statics::analyze(*spec));
+  } else if (const auto* row = protocols::find_protocol(protocol)) {
+    bounds.push_back(statics::analyze(row->spec));
   } else {
     return fail(2, "bounds: unknown protocol '" + protocol + "'");
   }
@@ -428,7 +440,7 @@ int cmd_sweep(int argc, char** argv) {
   if (backend) {
     const auto spec = backend_spec(*backend);
     if (!spec) return 2;
-    options.attack.backend = make_backend(*spec);
+    options.attack.backend = open_backend(*spec);
     if (!options.attack.backend) return 2;
   }
   if (fault_axis) {
@@ -697,7 +709,8 @@ int cmd_explore(int argc, char** argv) {
   ropts.max_deliveries = task.max_deliveries;
   ropts.record_trace = true;
   ropts.lint_trace = true;
-  ropts.message_budget = static_budget(task.protocol, task.params, *t);
+  ropts.message_budget =
+      static_budget(protocols::find_protocol(task.protocol), task.params, *t);
   async::ExploreReport report;
   async::AsyncRunResult rep;
   try {
@@ -780,6 +793,11 @@ int usage() {
   // A command called without an argv only prints its usage line
   // (cli::parse), so the list below is generated from the tables above.
   for (const Subcommand& sub : kSubcommands) sub.run(0, nullptr);
+  std::string properties;
+  for (const PropertyBuilder& property : kProperties) {
+    if (!properties.empty()) properties += ' ';
+    properties += property.name;
+  }
   std::fprintf(stderr,
                "run defaults to --backend lockstep, sim to --backend sim\n"
                "backend SPEC: lockstep | sim[:model[,seed]] | "
@@ -788,10 +806,11 @@ int usage() {
                "protocols: %s\n"
                "async protocols: %s\n"
                "async strategies: %s\n"
-               "properties: weak strong sender ic any-proposed constant\n",
+               "properties: %s\n",
                faults::fault_plan_names(),
                protocols::registered_protocol_names(),
-               async::async_protocol_list(), async::scheduler_strategy_list());
+               async::async_protocol_list(), async::scheduler_strategy_list(),
+               properties.c_str());
   return 2;
 }
 

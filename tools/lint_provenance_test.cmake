@@ -1,5 +1,5 @@
-# The lint_trace registry audit: a schema-v2 trace whose provenance names a
-# backend the engine::Registry knows lints clean, while one naming an
+# The lint_trace provenance audit: a schema-v2 trace whose provenance names a
+# backend in engine::backend_names() lints clean, while one naming an
 # unknown substrate fails the audit (non-zero exit) even though the trace
 # itself satisfies every execution invariant.
 set(base "${WORKDIR}/prov_base.trace")

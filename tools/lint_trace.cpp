@@ -11,17 +11,19 @@
 // that produced them.
 //
 // Schema-v2 traces carry producer provenance whose first element names the
-// execution backend that produced the trace; a name the engine::Registry
-// does not know marks the artifact as coming from an unrecognized substrate
-// and fails the audit.
+// execution backend that produced the trace; a name outside
+// engine::backend_names() marks the artifact as coming from an unrecognized
+// substrate and fails the audit.
 //
 // Exit codes: 0 = trace lints clean; 1 = violations found or unknown
 // provenance backend; 2 = usage error (tools/cli.h pins the argument
 // errors); 3 = the file cannot be read, decoded or audited.
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "analysis/lint.h"
 #include "cli.h"
@@ -50,9 +52,9 @@ int lint(int argc, char** argv) {
         3, "lint_trace: " + file + " is not a valid trace: " + decode_error);
   }
 
-  // Audit v2 provenance against the backend registry before linting: a
-  // trace claiming an unknown execution substrate is suspect regardless of
-  // its invariants.
+  // Audit v2 provenance against the backend table before linting: a trace
+  // claiming an unknown execution substrate is suspect regardless of its
+  // invariants.
   bool provenance_ok = true;
   std::string backend_name;
   if (const Value& prov = provenance; !prov.is_null()) {
@@ -60,11 +62,11 @@ int lint(int argc, char** argv) {
                            prov.as_vec().front().is_str()
                        ? prov.as_vec().front().as_str()
                        : std::string{};
-    if (backend_name.empty() ||
-        !engine::Registry::global().knows(backend_name)) {
+    const std::vector<std::string> backends = engine::backend_names();
+    if (std::ranges::find(backends, backend_name) == backends.end()) {
       provenance_ok = false;
       std::string registered;
-      for (const std::string& known : engine::Registry::global().names()) {
+      for (const std::string& known : backends) {
         registered += registered.empty() ? known : " " + known;
       }
       cli::fail(1, "lint_trace: provenance names unknown execution backend '" +
