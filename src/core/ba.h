@@ -70,7 +70,6 @@
 #include "reductions/weak_from_any.h"
 #include "runtime/sync_system.h"
 #include "runtime/trace_io.h"
-#include "sim/fault.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
 #include "statics/analyzer.h"

@@ -28,7 +28,6 @@
 #include "runtime/fault.h"
 #include "runtime/process.h"
 #include "runtime/sync_system.h"
-#include "sim/fault.h"
 #include "sim/link.h"
 
 namespace ba::engine {
@@ -97,9 +96,9 @@ class LockstepBackend final : public ExecutionBackend {
 };
 
 /// Configuration for a simulator-backed backend: the link model family plus
-/// its seed/shape knobs and an optional fault plan, carried per-backend
-/// (RunOptions stays substrate-neutral). The link model itself is built per
-/// run because the gst lag group depends on n.
+/// its seed/shape knobs, carried per-backend (RunOptions stays
+/// substrate-neutral). Faults come only from each run's Adversary. The link
+/// model itself is built per run because the gst lag group depends on n.
 struct SimBackendConfig {
   /// Link model family: "sync" | "jitter" | "gst".
   std::string model{"sync"};
@@ -112,8 +111,6 @@ struct SimBackendConfig {
   /// gst only: size of the lagging suffix group (declared faulty; must fit
   /// the fault budget together with the run's adversary).
   std::uint32_t lag{1};
-  /// Injected network faults, applied on top of every run's adversary.
-  sim::FaultPlan plan{};
   /// Collect per-link metrics into RunResult::net.
   bool collect_metrics{true};
 };

@@ -63,7 +63,7 @@ RunResult SimBackend::run(const SystemParams& params,
         config_.gst_round, config_.seed);
   }
   sim::SimResult res =
-      sim::simulate(params, protocol, proposals, adversary, config_.plan, cfg);
+      sim::simulate(params, protocol, proposals, adversary, cfg);
   return std::move(res.run);
 }
 

@@ -39,20 +39,12 @@ ProcessId target_id(const FaultSpec& spec, const SystemParams& params,
   return spec.targets == TargetSelection::kHead ? i : params.n - 1 - i;
 }
 
-/// Crash/mute schedule shared by the Adversary and FaultPlan lowerings:
-/// (process, first silent round) pairs. Crash rounds are seed-derived in
-/// 1..4 unless "@R" pinned them; mute goes silent at its from-round.
+/// The crash lowering's schedule: (process, first silent round) pairs.
+/// Crash rounds are seed-derived in 1..4 unless "@R" pinned them.
 std::vector<std::pair<ProcessId, Round>> silence_schedule(
     const FaultSpec& spec, const SystemParams& params, std::uint64_t seed) {
   std::vector<std::pair<ProcessId, Round>> schedule;
   schedule.reserve(spec.count);
-  if (spec.kind == FaultKind::kMute) {
-    const Round from = spec.at_round.value_or(2);
-    for (std::uint32_t i = 0; i < spec.count; ++i) {
-      schedule.emplace_back(target_id(spec, params, i), from);
-    }
-    return schedule;
-  }
   if (spec.at_round) {
     for (std::uint32_t i = 0; i < spec.count; ++i) {
       schedule.emplace_back(target_id(spec, params, i), *spec.at_round);
@@ -115,40 +107,6 @@ Adversary compile_adversary(const FaultSpec& spec, const SystemParams& params,
       adv.byzantine_factory = byz_noise(seed, 12);
       return adv;
     }
-  }
-  throw std::runtime_error("fault plan: unreachable kind");
-}
-
-sim::FaultPlan compile_fault_plan(const FaultSpec& spec,
-                                  const SystemParams& params,
-                                  std::uint64_t seed) {
-  validate_for(spec, params);
-  sim::FaultPlan plan;
-  switch (spec.kind) {
-    case FaultKind::kFaultFree:
-      return plan;
-    case FaultKind::kCrash:
-    case FaultKind::kMute:
-      // A FaultPlan crash window is "send-omit everything from round R":
-      // exactly the crash and mute semantics (mute just never recovers and
-      // starts later).
-      for (const auto& [p, round] : silence_schedule(spec, params, seed)) {
-        plan.crash(p, round);
-      }
-      return plan;
-    case FaultKind::kIsolate:
-      no_lowering(spec, "sim fault-plan",
-                  "receive-isolation is not a network-schedulable fault; "
-                  "use the adversary lowering");
-    case FaultKind::kRandomOmissions:
-      no_lowering(spec, "sim fault-plan",
-                  "per-message coin flips are adversary predicates, not "
-                  "link windows; use the adversary lowering");
-    case FaultKind::kSilentByz:
-    case FaultKind::kNoiseByz:
-      no_lowering(spec, "sim fault-plan",
-                  "Byzantine replicas are process substitutions, not "
-                  "network faults; use the adversary lowering");
   }
   throw std::runtime_error("fault plan: unreachable kind");
 }

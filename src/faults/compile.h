@@ -3,21 +3,19 @@
 // The fault compiler: lowers one FaultSpec to each execution substrate.
 //
 //   compile_adversary   -> Adversary            lockstep + sim backends
-//   compile_fault_plan  -> sim::FaultPlan       network-level sim schedules
 //   compile_async       -> async::AsyncAdversary the async backend / explore
 //
 // compile_adversary is total over the grammar and is the reference lowering:
 // for the legacy plan names it reproduces the adversaries the campaign
 // service built before this IR existed, bit-for-bit (same seed derivation,
 // same target groups, same rounds) — campaigns over legacy plan names replay
-// byte-identically through it (tests/service/service_runner_test.cpp).
+// byte-identically through it (tests/service/service_runner_test.cpp). The
+// simulator takes faults only as an Adversary, so one lowering serves both
+// round-based backends (tests/sim/sim_parity_test.cpp, FaultSpecParity).
 //
-// The other two lowerings are partial: a FaultPlan can only express faults
-// that are network-schedulable (send-side omissions — fault-free, crash,
-// mute), and the async model only knows crash-from-start and Byzantine
-// replicas. Kinds outside a target's fragment throw a std::runtime_error
-// naming the plan and the missing lowering; callers that can fall back to
-// compile_adversary should (the sim backend takes an Adversary directly).
+// The async lowering is partial: the async model only knows crash-from-start
+// and Byzantine replicas. Kinds outside its fragment throw a
+// std::runtime_error naming the plan and the missing lowering.
 
 #include <cstdint>
 
@@ -25,7 +23,6 @@
 #include "faults/fault_spec.h"
 #include "runtime/fault.h"
 #include "runtime/types.h"
-#include "sim/fault.h"
 
 namespace ba::faults {
 
@@ -35,18 +32,6 @@ namespace ba::faults {
 [[nodiscard]] Adversary compile_adversary(const FaultSpec& spec,
                                           const SystemParams& params,
                                           std::uint64_t seed);
-
-/// Partial lowering to a simulator fault schedule. Supported: fault-free
-/// (empty plan), crash (crash windows at the same seed-derived or @R
-/// rounds), mute (crash windows — a FaultPlan crash is exactly "send-omit
-/// everything from round R", which is mute's semantics). Throws for
-/// isolate/random-omissions/Byzantine kinds, which have no network-level
-/// expression. simulate(...) with the returned plan and Adversary::none()
-/// is trace-identical to the sim backend under compile_adversary
-/// (tests/faults/compile_test.cpp).
-[[nodiscard]] sim::FaultPlan compile_fault_plan(const FaultSpec& spec,
-                                                const SystemParams& params,
-                                                std::uint64_t seed);
 
 /// Partial lowering to the async model: crash and mute become
 /// crash-from-start (the async model has no rounds for "@R" to bind to —

@@ -3,15 +3,13 @@
 // The typed fault-model IR: one FaultSpec describes "what faults happen in
 // this run" for every execution substrate in the repo.
 //
-// Historically three layers each re-invented this description: the campaign
-// service parsed stringly-typed plan names ("crash:1"), the simulator had
-// its own sim::FaultPlan schedule builder, and the async backend took a raw
-// AsyncAdversary. A FaultSpec is the single source of truth the three are
-// compiled from (faults/compile.h), so the paper's distinction between the
-// fault *budget* t and the *actual* fault count f — the whole point of the
-// Ω(t²)-even-when-f-is-small lower bound — shows up once, as
-// declared_faults(), and every budget/bound evaluation can be taken at the
-// declared f instead of the worst case.
+// A FaultSpec is the single source of truth every substrate's faults are
+// compiled from (faults/compile.h): the lockstep and sim backends run its
+// Adversary lowering, the async backend its AsyncAdversary lowering. So the
+// paper's distinction between the fault *budget* t and the *actual* fault
+// count f — the whole point of the Ω(t²)-even-when-f-is-small lower bound —
+// shows up once, as declared_faults(), and every budget/bound evaluation can
+// be taken at the declared f instead of the worst case.
 //
 // Grammar (canonical parse/format, round-trips the legacy plan-name syntax):
 //

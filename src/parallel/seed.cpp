@@ -22,28 +22,4 @@ std::uint64_t derive_task_seed(std::uint64_t master_seed,
   return crypto::siphash24(key, le);
 }
 
-void derive_task_seed_block(std::uint64_t master_seed, std::uint64_t first,
-                            std::span<std::uint64_t> out) {
-  if (out.empty()) return;
-  // One key derivation and one initialized hasher for the whole block; each
-  // index extends a copy of the shared prefix state. SipHasher::digest() is
-  // bit-identical to the one-shot siphash24 over the same absorbed bytes
-  // (tests/crypto/siphash_incremental_test.cpp), and absorb_u64 absorbs the
-  // same 8 little-endian bytes the reference path hashes.
-  const crypto::SipKey key = crypto::derive_key(master_seed, kTaskSeedContext);
-  const crypto::SipHasher base(key);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    crypto::SipHasher h = base;
-    h.absorb_u64(first + i);
-    out[i] = h.digest();
-  }
-}
-
-std::vector<std::uint64_t> derive_task_seeds(std::uint64_t master_seed,
-                                             std::size_t count) {
-  std::vector<std::uint64_t> seeds(count);
-  derive_task_seed_block(master_seed, 0, seeds);
-  return seeds;
-}
-
 }  // namespace ba::parallel

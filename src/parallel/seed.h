@@ -8,23 +8,11 @@
 // the points — otherwise "parallel == serial" breaks silently. We derive
 // seeds with SipHash-2-4 keyed off the campaign's master seed, which also
 // gives collision-freeness in practice across grids far larger than
-// anything we run (tested to 1e5 tasks in tests/parallel/).
-//
-// Two derivation paths produce bit-identical seeds (pinned by
-// tests/parallel/seed_block_test.cpp):
-//   * `derive_task_seed`       — the reference: one keyed one-shot hash per
-//     index;
-//   * `derive_task_seed_block` — the batch path used by the campaign
-//     service's shard workers and `derive_task_seeds`: the SipKey and the
-//     keyed hasher's initial state are derived ONCE per index block, and
-//     each index extends a copy of that shared prefix state. For a block of
-//     k seeds this does one key derivation instead of k, and no per-task
-//     hasher setup.
+// anything we run (tested to 1e5 tasks in tests/parallel/). The campaign
+// service seeds each task with one call (CampaignSpec::task_at); golden
+// values pin the derivation in tests/parallel/seed_block_test.cpp.
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 namespace ba::parallel {
 
@@ -33,15 +21,5 @@ namespace ba::parallel {
 /// scheduling order, and everything else.
 std::uint64_t derive_task_seed(std::uint64_t master_seed,
                                std::uint64_t task_index);
-
-/// Batch derivation: fills `out[i]` with the seed for task `first + i`,
-/// deriving the keyed stream once for the whole block. Bit-identical to
-/// calling `derive_task_seed(master_seed, first + i)` per slot.
-void derive_task_seed_block(std::uint64_t master_seed, std::uint64_t first,
-                            std::span<std::uint64_t> out);
-
-/// Seeds for tasks 0..count-1, in index order (batch path).
-std::vector<std::uint64_t> derive_task_seeds(std::uint64_t master_seed,
-                                             std::size_t count);
 
 }  // namespace ba::parallel

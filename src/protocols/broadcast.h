@@ -29,13 +29,6 @@ ProtocolFactory bb_candidate_direct(ProcessId sender);
 /// everyone decides the (first) value seen by round 2. O(n k) messages.
 ProtocolFactory bb_candidate_relay_ring(ProcessId sender, std::uint32_t k);
 
-inline Round unauth_broadcast_rounds(const SystemParams& p) {
-  return 1 + 3 * (p.t + 1);
-}
-inline std::uint32_t unauth_broadcast_min_n(std::uint32_t t) {
-  return 3 * t + 1;
-}
-
 /// Static communication declarations. The correct protocol inherits the
 /// phase-king blocks behind a one-round sender multicast; the candidates
 /// are the deliberately sub-quadratic attack targets.

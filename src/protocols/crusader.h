@@ -28,7 +28,6 @@ namespace ba::protocols {
 ProtocolFactory crusader_broadcast_bit(ProcessId sender);
 
 inline Round crusader_rounds() { return 2; }
-inline std::uint32_t crusader_min_n(std::uint32_t t) { return 3 * t + 1; }
 
 /// Static communication declaration: (n-1) + n(n-1) bit messages, 2 rounds.
 statics::CommSpec crusader_comm_spec();

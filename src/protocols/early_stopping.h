@@ -34,8 +34,6 @@ ProtocolFactory floodset_consensus();
 /// t + 1.
 ProtocolFactory early_deciding_floodset();
 
-inline Round floodset_rounds(const SystemParams& p) { return p.t + 1; }
-
 /// Static communication declarations: (t+1) n (n-1) value-set messages.
 /// Early decision does not change the worst-case structure (the protocol
 /// keeps flooding through round t + 1 either way).

@@ -47,7 +47,6 @@ ProtocolFactory eig_reference_interactive_consistency();
 ProtocolFactory eig_reference_strong_consensus();
 
 inline Round eig_rounds(const SystemParams& p) { return p.t + 1; }
-inline std::uint32_t eig_min_n(std::uint32_t t) { return 3 * t + 1; }
 
 /// Static communication declarations: (t+1) n (n-1) messages whose level-r
 /// report payloads are superpolynomial (O(n^r) tree entries).

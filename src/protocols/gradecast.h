@@ -34,9 +34,6 @@ struct GradecastOutput {
 };
 std::optional<GradecastOutput> parse_gradecast(const Value& decision);
 
-inline Round gradecast_rounds() { return 3; }
-inline std::uint32_t gradecast_min_n(std::uint32_t t) { return 3 * t + 1; }
-
 /// Static communication declaration: (n-1) + 2n(n-1) bit messages, 3 rounds.
 statics::CommSpec gradecast_comm_spec();
 

@@ -29,9 +29,6 @@ ProtocolFactory phase_king_consensus();
 /// Rounds used: 3 * (t + 1).
 inline Round phase_king_rounds(const SystemParams& p) { return 3 * (p.t + 1); }
 
-/// Resilience requirement.
-inline std::uint32_t phase_king_min_n(std::uint32_t t) { return 3 * t + 1; }
-
 /// Static communication declaration: (t+1)(2n(n-1) + (n-1)) bit messages
 /// over 3(t+1) rounds.
 statics::CommSpec phase_king_comm_spec();

@@ -31,7 +31,6 @@ ProtocolFactory turpin_coan_multivalued();
 inline Round turpin_coan_rounds(const SystemParams& p) {
   return 2 + 3 * (p.t + 1);
 }
-inline std::uint32_t turpin_coan_min_n(std::uint32_t t) { return 3 * t + 1; }
 
 /// Static communication declaration: 2 n (n-1) value messages in front of
 /// the phase-king bit-consensus blocks.

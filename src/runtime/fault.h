@@ -48,13 +48,6 @@ struct Adversary {
   [[nodiscard]] bool is_byzantine(ProcessId p) const {
     return byzantine.contains(p);
   }
-  [[nodiscard]] bool drops_send(const MsgKey& k) const {
-    return send_omit && is_faulty(k.sender) && !is_byzantine(k.sender) &&
-           send_omit(k);
-  }
-  [[nodiscard]] bool drops_receive(const MsgKey& k) const {
-    return receive_omit && is_faulty(k.receiver) && receive_omit(k);
-  }
 };
 
 }  // namespace ba

@@ -62,9 +62,6 @@ class Json {
   [[nodiscard]] bool is_integer() const {
     return kind_ == Kind::kInt || kind_ == Kind::kUint;
   }
-  [[nodiscard]] bool is_number() const {
-    return is_integer() || kind_ == Kind::kDouble;
-  }
   [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
   [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
   [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }

@@ -52,8 +52,7 @@ Event deliver_event(SimTime time, Round round, Message msg, SimTime latency) {
 
 SimResult simulate(const SystemParams& params, const ProtocolFactory& protocol,
                    const std::vector<Value>& proposals,
-                   const Adversary& adversary, const FaultPlan& plan,
-                   const SimConfig& config) {
+                   const Adversary& adversary, const SimConfig& config) {
   if (!params.valid()) throw std::invalid_argument("invalid SystemParams");
   if (proposals.size() != params.n) {
     throw std::invalid_argument("proposals.size() != n");
@@ -61,24 +60,21 @@ SimResult simulate(const SystemParams& params, const ProtocolFactory& protocol,
   if (config.round_ticks == 0) {
     throw std::invalid_argument("round_ticks must be >= 1");
   }
-  if (!plan.valid_for(params.n)) {
-    throw std::invalid_argument("fault plan references processes >= n");
-  }
   if (config.lint_trace && !config.record_trace) {
     throw std::invalid_argument(
         "SimConfig::lint_trace requires record_trace: there is no trace to "
         "lint when recording is off");
   }
 
-  // Compile the fault plan into the static adversary and fold in the link
-  // model's lag group, so every drop the simulation can produce is an
-  // omission attributable to a declared-faulty process.
-  Adversary adv = plan.apply_to(adversary);
+  // Fold the link model's lag group into the adversary, so every drop the
+  // simulation can produce is an omission attributable to a declared-faulty
+  // process.
+  Adversary adv = adversary;
   const ProcessSet& lag = config.link.required_faulty();
   if (!lag.empty()) adv.faulty = adv.faulty.set_union(lag);
   if (adv.faulty.size() > params.t) {
     throw std::invalid_argument(
-        "combined faulty set (adversary + plan + link lag group) exceeds t");
+        "combined faulty set (adversary + link lag group) exceeds t");
   }
   if (!adv.byzantine.is_subset_of(adv.faulty)) {
     throw std::invalid_argument("byzantine set must be a subset of faulty");
@@ -182,11 +178,8 @@ SimResult simulate(const SystemParams& params, const ProtocolFactory& protocol,
               if (metering) ++out.metrics.link(p, m.receiver).dropped;
               continue;
             }
-            SimTime lat = config.link.latency(m.key(), dt);
+            const SimTime lat = config.link.latency(m.key(), dt);
             if (lat <= dt) {
-              // Fault-plan delay stays within model bounds: it can push a
-              // delivery to the round boundary but never past it.
-              lat = std::min(lat + plan.extra_delay(m.key()), dt);
               push(deliver_event(round_start + lat, r, m, lat));
             } else {
               // Late: the round-based state machine can never see this
@@ -284,12 +277,6 @@ SimResult simulate(const SystemParams& params, const ProtocolFactory& protocol,
   // keeps its own copy for the simulator-native callers).
   if (metering) result.net = out.metrics;
   return out;
-}
-
-SimResult simulate(const SystemParams& params, const ProtocolFactory& protocol,
-                   const std::vector<Value>& proposals,
-                   const Adversary& adversary, const SimConfig& config) {
-  return simulate(params, protocol, proposals, adversary, FaultPlan{}, config);
 }
 
 }  // namespace ba::sim

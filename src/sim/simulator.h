@@ -5,9 +5,9 @@
 // Where runtime/sync_system.cpp advances the whole system in lockstep
 // rounds, the simulator runs the *network* as a seeded priority-queue event
 // loop over logical time: every message is an individually scheduled
-// delivery event whose latency comes from a link model (sim/link.h) plus
-// fault-plan delay (sim/fault.h). The round abstraction the paper's state
-// machines need (A.1.3) is preserved by two control events per round:
+// delivery event whose latency comes from a link model (sim/link.h). The
+// round abstraction the paper's state machines need (A.1.3) is preserved by
+// two control events per round:
 //
 //   RoundStart(r) at (r-1)*Δ   every process computes its round-r outbox;
 //                              each message gets a sampled latency and is
@@ -25,18 +25,18 @@
 // identity, so a simulation is a deterministic function of its arguments.
 // No wall clock, no global RNG, no iteration over unordered containers.
 //
-// Faults flow through the static-adversary machinery (runtime/fault.h,
-// src/adversary/): the FaultPlan compiles to omission predicates, and
-// model-late messages (partial synchrony before GST) are recorded as
-// receive omissions blamed on the lagging — declared-faulty — receiver.
+// Faults arrive only as a static Adversary (runtime/fault.h), usually
+// lowered from a FaultSpec by faults::compile_adversary, and model-late
+// messages (partial synchrony before GST) are recorded as receive omissions
+// blamed on the lagging — declared-faulty — receiver.
 // The emitted ExecutionTrace is therefore indistinguishable in vocabulary
 // from a lockstep trace, and the src/analysis lint invariants
 // (conservation, budget, determinism, quiescence) apply unchanged.
 //
 // Parity guarantee (tested in tests/sim/sim_parity_test.cpp): under the
-// zero-jitter synchronous model with no fault plan, `simulate` produces
-// decisions, message counts, and full traces bit-identical to
-// `run_execution` for any protocol and adversary.
+// zero-jitter synchronous model, `simulate` produces decisions, message
+// counts, and full traces bit-identical to `run_execution` for any protocol
+// and adversary.
 
 #include <cstdint>
 #include <optional>
@@ -46,7 +46,6 @@
 #include "runtime/net_metrics.h"
 #include "runtime/process.h"
 #include "runtime/sync_system.h"
-#include "sim/fault.h"
 #include "sim/link.h"
 
 namespace ba::sim {
@@ -80,16 +79,9 @@ struct SimResult {
   SimTime end_time{0};
 };
 
-/// Runs one simulated execution. The effective adversary is
-/// `plan.apply_to(adversary)` with the link model's required_faulty() set
-/// added; throws std::invalid_argument if the combined faulty set exceeds t
-/// or the plan references out-of-range processes.
-SimResult simulate(const SystemParams& params, const ProtocolFactory& protocol,
-                   const std::vector<Value>& proposals,
-                   const Adversary& adversary, const FaultPlan& plan,
-                   const SimConfig& config = {});
-
-/// Fault-plan-free convenience overload.
+/// Runs one simulated execution. The effective adversary is `adversary`
+/// with the link model's required_faulty() set added; throws
+/// std::invalid_argument if the combined faulty set exceeds t.
 SimResult simulate(const SystemParams& params, const ProtocolFactory& protocol,
                    const std::vector<Value>& proposals,
                    const Adversary& adversary, const SimConfig& config = {});

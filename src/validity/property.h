@@ -28,14 +28,6 @@ struct ValidityProperty {
 
   /// Optional closed-form Γ (fast path); must agree with the enumerated one.
   std::function<std::optional<Value>(const InputConfig& c)> gamma_fast;
-
-  [[nodiscard]] std::vector<Value> admissible_set(const InputConfig& c) const {
-    std::vector<Value> out;
-    for (const Value& v : output_domain) {
-      if (admissible(c, v)) out.push_back(v);
-    }
-    return out;
-  }
 };
 
 }  // namespace ba::validity

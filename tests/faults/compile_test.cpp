@@ -1,8 +1,8 @@
-// The fault compiler: one FaultSpec, three substrates. compile_adversary
+// The fault compiler: one FaultSpec, two lowerings. compile_adversary
 // reproduces the legacy campaign adversaries bit-for-bit (pins ported from
-// the pre-IR service tests), the sim FaultPlan lowering is execution-
-// equivalent to the adversary lowering on the sim backend, and the partial
-// lowerings throw their documented no-lowering errors.
+// the pre-IR service tests; its lockstep/sim parity per kind lives in
+// tests/sim/sim_parity_test.cpp), and the partial async lowering throws its
+// documented no-lowering errors.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "adversary/omission.h"
 #include "crypto/siphash.h"
-#include "engine/backend.h"
 #include "faults/compile.h"
 #include "faults/fault_spec.h"
 #include "protocols/phase_king.h"
@@ -115,53 +114,6 @@ TEST(CompileAdversary, ModifiersSteerTargetsAndTiming) {
   EXPECT_EQ(a.messages_sent_by_correct, b.messages_sent_by_correct);
 }
 
-TEST(CompileFaultPlan, IsExecutionEquivalentToTheAdversaryLowering) {
-  // A FaultPlan crash window is "send-omit everything from round R" — the
-  // plan lowering and the adversary lowering of the same spec must agree
-  // on the sim backend for every expressible kind.
-  const SystemParams params{7, 2};
-  std::vector<Value> proposals;
-  for (std::uint32_t p = 0; p < params.n; ++p) {
-    proposals.push_back(Value::bit(static_cast<int>(p % 2)));
-  }
-  const ProtocolFactory protocol = protocols::phase_king_consensus();
-  for (const char* text : {"fault-free", "crash:2", "crash:1@3", "mute:2",
-                           "mute:1%head"}) {
-    const FaultSpec spec = spec_of(text);
-    engine::SimBackendConfig plan_config;
-    plan_config.plan = compile_fault_plan(spec, params, 7);
-    const engine::SimBackend via_plan(plan_config);
-    const engine::SimBackend via_adversary{{}};
-    const RunResult a =
-        via_plan.run(params, protocol, proposals, Adversary::none());
-    const RunResult b = via_adversary.run(
-        params, protocol, proposals, compile_adversary(spec, params, 7));
-    EXPECT_EQ(a.decisions, b.decisions) << text;
-    EXPECT_EQ(a.messages_sent_by_correct, b.messages_sent_by_correct) << text;
-    EXPECT_EQ(a.rounds_executed, b.rounds_executed) << text;
-  }
-}
-
-TEST(CompileFaultPlan, UnexpressibleKindsThrowTheDocumentedError) {
-  const SystemParams params{7, 2};
-  try {
-    (void)compile_fault_plan(spec_of("isolate:1"), params, 1);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(),
-                 "fault plan 'isolate:1': no sim fault-plan lowering "
-                 "(receive-isolation is not a network-schedulable fault; "
-                 "use the adversary lowering)");
-  }
-  EXPECT_THROW(
-      (void)compile_fault_plan(spec_of("random-omissions:250"), params, 1),
-      std::runtime_error);
-  EXPECT_THROW((void)compile_fault_plan(spec_of("silent-byz:1"), params, 1),
-               std::runtime_error);
-  EXPECT_THROW((void)compile_fault_plan(spec_of("noise-byz:1"), params, 1),
-               std::runtime_error);
-}
-
 TEST(CompileAsync, CrashAndSilentByzLowerTheRestThrow) {
   const SystemParams params{4, 1};
 
@@ -195,6 +147,31 @@ TEST(CompileAsync, CrashAndSilentByzLowerTheRestThrow) {
       std::runtime_error);
   EXPECT_THROW((void)compile_async(spec_of("noise-byz:1"), params, 1),
                std::runtime_error);
+}
+
+// docs/FAULTS.md treats `fault plan 'X': no <target> lowering (<why>)` as
+// contract; `ba_cli explore --fault` prints these verbatim.
+TEST(CompileAsync, NoLoweringErrorsAreThePinnedStrings) {
+  const SystemParams params{4, 1};
+  const auto message = [&params](const char* text) -> std::string {
+    try {
+      (void)compile_async(spec_of(text), params, 1);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message("isolate:1"),
+            "fault plan 'isolate:1': no async lowering (the scheduler already "
+            "owns delivery order; receive-isolation has no async "
+            "counterpart)");
+  EXPECT_EQ(message("random-omissions:250"),
+            "fault plan 'random-omissions:250': no async lowering (async "
+            "links are reliable; omission power lives in the scheduler)");
+  EXPECT_EQ(message("noise-byz:1"),
+            "fault plan 'noise-byz:1': no async lowering (the noise strategy "
+            "is round-structured; only silent-byz lowers to the async "
+            "model)");
 }
 
 }  // namespace

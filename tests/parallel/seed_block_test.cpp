@@ -1,13 +1,7 @@
-// Batch task-seed derivation (parallel::derive_task_seed_block): the block
-// path shares one key derivation and one SipHasher prefix across the whole
-// block, so it must stay BIT-IDENTICAL to the per-index reference
-// derive_task_seed — campaign workers seed tasks in blocks while the
-// expansion (service/campaign.h) seeds them one at a time, and the two must
-// never diverge.
+// Task-seed derivation (parallel::derive_task_seed): golden values pin the
+// derivation every campaign task seed (service/campaign.h) comes from.
 
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "parallel/seed.h"
 
@@ -21,33 +15,6 @@ TEST(SeedBlock, GoldenValuesPinTheDerivation) {
   EXPECT_EQ(derive_task_seed(1, 0), 0x2355867bfac889d0ULL);
   EXPECT_EQ(derive_task_seed(1, 1), 0x62771f75f32fbb07ULL);
   EXPECT_EQ(derive_task_seed(0xdeadbeef, 12345), 0x2c2c8cfe635acc34ULL);
-}
-
-TEST(SeedBlock, BlockMatchesPerIndexReference) {
-  for (const std::uint64_t master : {1ULL, 7ULL, 0xdeadbeefULL}) {
-    for (const std::uint64_t first : {0ULL, 1ULL, 999ULL, 1ULL << 40}) {
-      std::vector<std::uint64_t> block(257);
-      derive_task_seed_block(master, first, block);
-      for (std::size_t i = 0; i < block.size(); ++i) {
-        ASSERT_EQ(block[i], derive_task_seed(master, first + i))
-            << "master=" << master << " first=" << first << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(SeedBlock, EmptyBlockIsANoop) {
-  std::vector<std::uint64_t> empty;
-  derive_task_seed_block(1, 0, empty);  // must not touch memory
-  EXPECT_TRUE(empty.empty());
-}
-
-TEST(SeedBlock, DeriveTaskSeedsStartsAtIndexZero) {
-  const std::vector<std::uint64_t> seeds = derive_task_seeds(42, 64);
-  ASSERT_EQ(seeds.size(), 64u);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    EXPECT_EQ(seeds[i], derive_task_seed(42, i));
-  }
 }
 
 TEST(SeedBlock, DistinctMastersAndIndicesDisagree) {

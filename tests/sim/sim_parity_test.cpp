@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/ba.h"
@@ -115,6 +117,45 @@ TEST(SimParity, CrashScheduleBitIdentical) {
     expect_bit_identical(sim, lockstep, c.name + "/crash");
   }
 }
+
+TEST(SimParity, PartitionBitIdentical) {
+  for (const ParityCase& c : parity_cases()) {
+    const Adversary adv = partition_from(
+        ProcessSet::range(c.params.n - 2, c.params.n), /*from_round=*/2);
+    const RunResult lockstep =
+        run_execution(c.params, c.factory, c.proposals, adv, {});
+    const RunResult sim = kSim.run(c.params, c.factory, c.proposals, adv, {});
+    expect_bit_identical(sim, lockstep, c.name + "/partition");
+  }
+}
+
+// The simulator takes faults only as an Adversary, so every FaultSpec kind
+// reaches it through faults::compile_adversary: each kind, lowered once,
+// must run bit-identically on both round-based backends.
+class FaultSpecParity : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FaultSpecParity, AdversaryLoweringMatchesLockstep) {
+  const faults::FaultSpec spec = faults::parse_fault_spec(GetParam());
+  for (const ParityCase& c : parity_cases()) {
+    const Adversary adv = faults::compile_adversary(spec, c.params, 7);
+    const RunResult lockstep =
+        run_execution(c.params, c.factory, c.proposals, adv, {});
+    const RunResult sim = kSim.run(c.params, c.factory, c.proposals, adv, {});
+    expect_bit_identical(sim, lockstep, c.name + "/" + GetParam());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, FaultSpecParity,
+    ::testing::Values("fault-free", "crash:2", "mute:1@2", "isolate:2",
+                      "random-omissions:300", "silent-byz:1", "noise-byz:2"),
+    [](const auto& info) {
+      std::string name = info.param;
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name;
+    });
 
 TEST(SimParity, SimulatedTracesPassTheLinter) {
   for (const ParityCase& c : parity_cases()) {

@@ -19,7 +19,7 @@ struct GridPoint {
   SystemParams params;
   std::vector<Value> proposals;
   SimConfig config;
-  FaultPlan plan;
+  Adversary adversary;
 };
 
 std::vector<GridPoint> make_grid() {
@@ -56,7 +56,11 @@ std::vector<GridPoint> make_grid() {
     g.params = SystemParams{5, 1};
     g.factory = protocols::wc_candidate_gossip_ring(2, 4);
     g.proposals = bits(5);
-    g.plan.crash_recover(0, 2, 4);
+    // Crash-recovery: process 0 send-omits everything in rounds [2, 4).
+    g.adversary.faulty = ProcessSet({0});
+    g.adversary.send_omit = [](const MsgKey& k) {
+      return k.sender == 0 && k.round >= 2 && k.round < 4;
+    };
     grid.push_back(std::move(g));
   }
   return grid;
@@ -79,8 +83,8 @@ std::vector<Observed> run_grid(unsigned jobs) {
   parallel::ExperimentPool pool(jobs);
   return pool.map<Observed>(grid.size(), [&grid](std::size_t i) {
     const GridPoint& g = grid[i];
-    const SimResult res = simulate(g.params, g.factory, g.proposals,
-                                   Adversary::none(), g.plan, g.config);
+    const SimResult res =
+        simulate(g.params, g.factory, g.proposals, g.adversary, g.config);
     Observed o;
     o.trace = encode_trace(res.run.trace);
     o.metrics = res.metrics;

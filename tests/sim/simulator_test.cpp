@@ -1,6 +1,7 @@
 // Behavior of the discrete-event simulator beyond lockstep parity: event
-// determinism, jitter and partial-synchrony link models, fault-plan
-// injection, metrics accounting, and configuration validation.
+// determinism, jitter and partial-synchrony link models, omission windows
+// injected through the Adversary, metrics accounting, and configuration
+// validation.
 
 #include <gtest/gtest.h>
 
@@ -116,48 +117,18 @@ TEST(Simulator, PartialSynchronyLateMessagesAreReceiveOmissions) {
   EXPECT_EQ(omitted, res.metrics.total_late());
 }
 
-// A windowed fault-plan partition must equal the adversary library's
-// partition_from when the window is [from, forever).
-TEST(Simulator, PartitionPlanMatchesPartitionFromAdversary) {
-  Fixture fx;
-  const ProcessSet side = ProcessSet::range(5, 7);
-  FaultPlan plan;
-  plan.partition(side, /*from=*/2);
-
-  const SimResult via_plan = simulate(fx.params, fx.factory, fx.proposals,
-                                      Adversary::none(), plan, SimConfig{});
-  const RunResult via_adv = run_execution(fx.params, fx.factory, fx.proposals,
-                                          partition_from(side, 2), {});
-  EXPECT_EQ(encode_trace(via_plan.run.trace), encode_trace(via_adv.trace));
-  EXPECT_EQ(via_plan.run.decisions, via_adv.decisions);
-  EXPECT_EQ(via_plan.run.messages_sent_by_correct,
-            via_adv.messages_sent_by_correct);
-}
-
-TEST(Simulator, CrashPlanMatchesCrashScheduleAdversary) {
-  Fixture fx;
-  FaultPlan plan;
-  plan.crash(6, /*at=*/2).crash(5, /*at=*/3);
-
-  const SimResult via_plan = simulate(fx.params, fx.factory, fx.proposals,
-                                      Adversary::none(), plan, SimConfig{});
-  const RunResult via_adv = run_execution(
-      fx.params, fx.factory, fx.proposals, crash_schedule({{6, 2}, {5, 3}}),
-      {});
-  EXPECT_EQ(encode_trace(via_plan.run.trace), encode_trace(via_adv.trace));
-  EXPECT_EQ(via_plan.run.decisions, via_adv.decisions);
-}
-
 TEST(Simulator, CrashRecoveryResumesSending) {
   const SystemParams params{5, 1};
   const ProtocolFactory factory = protocols::wc_candidate_gossip_ring(2, 5);
   const std::vector<Value> proposals(5, Value::bit(0));
-  FaultPlan plan;
-  plan.crash_recover(0, /*at=*/2, /*recover=*/4);
+  // Crash-recovery: process 0 send-omits everything in rounds [2, 4).
+  Adversary adv;
+  adv.faulty = ProcessSet({0});
+  adv.send_omit = [](const MsgKey& k) {
+    return k.sender == 0 && k.round >= 2 && k.round < 4;
+  };
 
-  const SimResult res =
-      simulate(params, factory, proposals, Adversary::none(), plan,
-               SimConfig{});
+  const SimResult res = simulate(params, factory, proposals, adv);
   const ProcessTrace& pt = res.run.trace.procs[0];
   ASSERT_GE(pt.rounds.size(), 4u);
   EXPECT_FALSE(pt.rounds[0].sent.empty());          // round 1: up
@@ -171,12 +142,14 @@ TEST(Simulator, DropLinkSuppressesExactlyThatLink) {
   const SystemParams params{5, 1};
   const ProtocolFactory factory = protocols::wc_candidate_gossip_ring(2, 4);
   const std::vector<Value> proposals(5, Value::bit(0));
-  FaultPlan plan;
-  plan.drop_link(0, 1);  // forever
+  // The link 0 -> 1 is down in every round, blamed on the sender.
+  Adversary adv;
+  adv.faulty = ProcessSet({0});
+  adv.send_omit = [](const MsgKey& k) {
+    return k.sender == 0 && k.receiver == 1;
+  };
 
-  const SimResult res =
-      simulate(params, factory, proposals, Adversary::none(), plan,
-               SimConfig{});
+  const SimResult res = simulate(params, factory, proposals, adv);
   EXPECT_TRUE(res.run.trace.faulty.contains(0));
   bool saw_omission = false;
   for (const ProcessTrace& pt : res.run.trace.procs) {
@@ -196,30 +169,10 @@ TEST(Simulator, DropLinkSuppressesExactlyThatLink) {
   EXPECT_GT(res.metrics.link(0, 1).dropped, 0u);
 }
 
-// Extra per-link delay is clamped to the round boundary: it shifts arrival
-// times (visible in the latency histogram) but never the trace.
-TEST(Simulator, DelayWithinBoundsOnlyMovesLatency) {
-  Fixture fx;
-  SimConfig config;
-  config.link = LinkModel::synchronous(/*latency=*/1);
-  config.round_ticks = 256;
-
-  const SimResult plain = simulate(fx.params, fx.factory, fx.proposals,
-                                   Adversary::none(), FaultPlan{}, config);
-  FaultPlan plan;
-  plan.delay_link(0, 1, /*ticks=*/100);
-  const SimResult delayed = simulate(fx.params, fx.factory, fx.proposals,
-                                     Adversary::none(), plan, config);
-
-  EXPECT_EQ(encode_trace(plain.run.trace), encode_trace(delayed.run.trace));
-  EXPECT_EQ(plain.metrics.deliveries, delayed.metrics.deliveries);
-  EXPECT_EQ(plain.metrics.latency.max, 1u);
-  EXPECT_EQ(delayed.metrics.latency.max, 101u);
-}
-
 TEST(Simulator, FaultFreeMetricsConserveMessages) {
   Fixture fx;
   SimConfig config;
+  config.link = LinkModel::synchronous(/*latency=*/1);
   const SimResult res =
       simulate(fx.params, fx.factory, fx.proposals, Adversary::none(), config);
   std::uint64_t sent = 0;
@@ -234,6 +187,7 @@ TEST(Simulator, FaultFreeMetricsConserveMessages) {
   EXPECT_EQ(res.metrics.total_dropped(), 0u);
   EXPECT_EQ(res.metrics.total_late(), 0u);
   EXPECT_EQ(res.metrics.latency.count, res.metrics.deliveries);
+  EXPECT_EQ(res.metrics.latency.max, 1u);
   EXPECT_GT(res.metrics.total_payload_bytes(), 0u);
   EXPECT_FALSE(res.metrics.summary().empty());
   // Every delivered message is metered at its encoded size; fault-free,
@@ -264,12 +218,6 @@ TEST(Simulator, ValidatesConfigurationAndBudget) {
       simulate(fx.params, fx.factory, short_props, Adversary::none(), config),
       std::invalid_argument);
 
-  FaultPlan out_of_range;
-  out_of_range.crash(fx.params.n, 1);
-  EXPECT_THROW(simulate(fx.params, fx.factory, fx.proposals, Adversary::none(),
-                        out_of_range, config),
-               std::invalid_argument);
-
   // A lag group of 3 busts the t = 2 budget.
   SimConfig over_budget = config;
   over_budget.link =
@@ -278,13 +226,19 @@ TEST(Simulator, ValidatesConfigurationAndBudget) {
                         over_budget),
                std::invalid_argument);
 
-  // Plan blame + adversary faulty must fit the budget jointly.
-  FaultPlan plan;
-  plan.crash(0, 1);
+  // The adversary's faulty set and the lag group must fit the budget
+  // jointly: 2 isolated processes plus 1 lagging one bust t = 2.
+  SimConfig one_lagging = config;
+  one_lagging.link =
+      LinkModel::partial_synchrony(ProcessSet::range(4, 5), 3, 1);
   const Adversary adv = isolate_group(ProcessSet::range(5, 7), 1);
-  EXPECT_THROW(
-      simulate(fx.params, fx.factory, fx.proposals, adv, plan, config),
-      std::invalid_argument);
+  try {
+    (void)simulate(fx.params, fx.factory, fx.proposals, adv, one_lagging);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "combined faulty set (adversary + link lag group) exceeds t");
+  }
 }
 
 TEST(Simulator, EventCountMatchesTheLoopStructure) {
